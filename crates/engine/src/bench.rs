@@ -876,7 +876,7 @@ fn measure_sharding(workload: &Workload) -> io::Result<Vec<ShardPoint>> {
 }
 
 /// A fixed-seed in-process [`crate::fuzz`] run, all four spec shapes
-/// covered, no differential (the sharded path spawns worker processes,
+/// covered, no differential (the sharded path spawns `serve` processes,
 /// which would make the number a process-launch benchmark). Seed 100
 /// keeps the workload disjoint from the seeds the fuzz tests pin.
 fn measure_fuzz(quick: bool) -> FuzzPoint {

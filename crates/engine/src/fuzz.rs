@@ -162,10 +162,11 @@ pub struct Violation {
 #[derive(Clone, Debug)]
 pub struct Differential {
     /// The result store. A [`Transport::Local`] run uses a fresh
-    /// `case-<seed>` subdirectory per case so both sides start cold; a
-    /// [`Transport::Remote`] run uses this directory as-is because the
-    /// serve fleet persists into its own configured store — point it at
-    /// the fleet's shared directory, fresh for the fuzzed seeds.
+    /// `case-<seed>` subdirectory per case, which its `serve` children are
+    /// started on, so both sides start cold; a [`Transport::Remote`] run
+    /// uses this directory as-is because a running fleet persists into its
+    /// own configured store — point it at the fleet's shared directory,
+    /// fresh for the fuzzed seeds.
     pub cache_dir: PathBuf,
     /// Shards to cut each case's job list into.
     pub shards: usize,

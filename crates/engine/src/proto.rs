@@ -1,15 +1,16 @@
 //! The `serve` wire codec shared by every client of the study service:
-//! the CLI `client` subcommand, the remote shard coordinator
-//! ([`crate::shard`]'s `Remote` transport), and the integration suites.
+//! the CLI `client` subcommand, the shard coordinator ([`crate::shard`],
+//! both transports), and the integration suites.
 //!
 //! The protocol itself lives in [`crate::serve`]: one JSON request per
 //! line, one response line per request. This module owns the *client
 //! side* of that framing, and its one hard rule is that **every read has
 //! a deadline**. A stalled or half-dead endpoint must surface as a
 //! [`std::io::ErrorKind::TimedOut`] error the caller can retry or fall
-//! back from — never as a hung caller. (Before this module existed the
-//! `client` subcommand read responses with no deadline, so a server that
-//! accepted and then went silent hung it forever.)
+//! back from — never as a hung caller. The one exception is asked for
+//! explicitly: a timeout too large to add to the clock (`Duration::MAX`)
+//! means no deadline, which the local shard transport uses because its
+//! endpoints are its own children, whose exit closes the socket.
 
 use crate::stats::EngineStats;
 use crate::trace;
@@ -30,10 +31,19 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(120);
 /// endpoint exhaust the caller's memory.
 pub const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
-/// Time left until `deadline`, `None` once it has passed.
-fn remaining(deadline: Instant) -> Option<Duration> {
+/// When a budget of `timeout` starting now runs out. `None` means no
+/// deadline: a timeout too large to add to the clock (`Duration::MAX`)
+/// waits for as long as the endpoint takes.
+fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
+/// Time left until `deadline` as a socket timeout (`Some(None)`: block
+/// without a limit), `None` once it has passed.
+fn remaining(deadline: Option<Instant>) -> Option<Option<Duration>> {
+    let Some(deadline) = deadline else { return Some(None) };
     let left = deadline.saturating_duration_since(Instant::now());
-    (!left.is_zero()).then_some(left)
+    (!left.is_zero()).then_some(Some(left))
 }
 
 /// One connection to a `serve` endpoint: line-oriented requests with
@@ -50,19 +60,24 @@ impl LineClient {
     /// across every address the endpoint resolves to, so a multi-address
     /// name whose first address blackholes cannot cost one timeout per
     /// address — and keeps the same duration as the per-exchange
-    /// deadline of every later call.
+    /// deadline of every later call. A `timeout` too large to add to the
+    /// clock means no deadline at all.
     ///
     /// # Errors
     ///
     /// Resolution failure, no reachable address, or socket configuration.
     pub fn connect(endpoint: &str, timeout: Duration) -> io::Result<LineClient> {
         let started = Instant::now();
-        let deadline = started + timeout;
+        let deadline = deadline_after(timeout);
         let addrs: Vec<SocketAddr> = endpoint.to_socket_addrs()?.collect();
         let mut last: Option<io::Error> = None;
         for addr in addrs {
             let Some(left) = remaining(deadline) else { break };
-            match TcpStream::connect_timeout(&addr, left) {
+            let connected = match left {
+                Some(left) => TcpStream::connect_timeout(&addr, left),
+                None => TcpStream::connect(addr),
+            };
+            match connected {
                 Ok(stream) => {
                     trace::event("proto.connect", |a| {
                         a.str("endpoint", endpoint).num(
@@ -134,7 +149,7 @@ impl LineClient {
     /// [`io::ErrorKind::InvalidData`] on an oversized or non-UTF-8 line,
     /// and any other transport error as-is.
     pub fn receive(&mut self) -> io::Result<String> {
-        let deadline = Instant::now() + self.timeout;
+        let deadline = deadline_after(self.timeout);
         let mut line: Vec<u8> = Vec::new();
         loop {
             if line.len() > MAX_RESPONSE_BYTES {
@@ -146,7 +161,7 @@ impl LineClient {
             let Some(left) = remaining(deadline) else {
                 return Err(stalled(line.len()));
             };
-            self.reader.get_ref().set_read_timeout(Some(left))?;
+            self.reader.get_ref().set_read_timeout(left)?;
             let available = match self.reader.fill_buf() {
                 Ok(available) => available,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -286,15 +301,6 @@ pub fn stats_from_value(value: &Value) -> Option<EngineStats> {
     })
 }
 
-/// Parses the one-line [`EngineStats`] JSON a shard worker prints on
-/// stdout (the last non-empty line; noise above it is ignored). `None`
-/// for anything else — the coordinator then treats the shard as failed
-/// and re-derives its work from the store.
-pub fn stats_line(stdout: &str) -> Option<EngineStats> {
-    let line = stdout.lines().rev().find(|line| !line.trim().is_empty())?;
-    stats_from_value(&serde_json::from_str(line.trim()).ok()?)
-}
-
 /// Validates one `host:port` endpoint spelling without resolving it: a
 /// non-empty host and a nonzero 16-bit port. (Port 0 means "pick one" to
 /// a *listener*; as a dial target nothing can be listening there.)
@@ -321,7 +327,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_line_roundtrips() {
+    fn stats_roundtrip_through_json() {
         let stats = EngineStats {
             jobs: 7,
             cache_hits: 2,
@@ -332,8 +338,9 @@ mod tests {
             stage_hits: 11,
             stage_misses: 13,
         };
-        let line = serde_json::to_string(&stats).unwrap();
-        let back = stats_line(&format!("noise above is ignored\n{line}\n")).unwrap();
+        let parse = |text: &str| serde_json::from_str(text).ok();
+        let back =
+            stats_from_value(&parse(&serde_json::to_string(&stats).unwrap()).unwrap()).unwrap();
         assert_eq!(back.jobs, 7);
         assert_eq!(back.cache_hits, 2);
         assert_eq!(back.cache_misses, 5);
@@ -342,18 +349,30 @@ mod tests {
         assert!((back.elapsed.as_secs_f64() - 0.012).abs() < 1e-9);
         assert_eq!(back.stage_hits, 11);
         assert_eq!(back.stage_misses, 13);
-        assert!(stats_line("").is_none());
-        assert!(stats_line("not json").is_none());
-        assert!(stats_line("{\"jobs\": 1}").is_none(), "missing counters are a failed parse");
+        assert!(stats_from_value(&parse("{\"jobs\": 1}").unwrap()).is_none(), "missing counters");
+        assert!(stats_from_value(&parse("[1, 2]").unwrap()).is_none());
         // Pre-stage-cache replies lack the stage counters; that is old
         // age, not damage.
-        let legacy = stats_line(
-            "{\"jobs\":1,\"cache_hits\":0,\"cache_misses\":1,\"hit_rate_pct\":0.0,\
-             \"cache_entries\":1,\"workers\":1,\"elapsed_ms\":2.0}",
+        let legacy = stats_from_value(
+            &parse(
+                "{\"jobs\":1,\"cache_hits\":0,\"cache_misses\":1,\"hit_rate_pct\":0.0,\
+                 \"cache_entries\":1,\"workers\":1,\"elapsed_ms\":2.0}",
+            )
+            .unwrap(),
         )
         .unwrap();
         assert_eq!(legacy.stage_hits, 0);
         assert_eq!(legacy.stage_misses, 0);
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_means_no_deadline() {
+        // Port 1 on loopback refuses at once: the connect fails cleanly
+        // instead of overflowing `Instant + Duration::MAX`.
+        assert!(LineClient::connect("127.0.0.1:1", Duration::MAX).is_err());
+        assert!(deadline_after(Duration::MAX).is_none());
+        assert_eq!(remaining(None), Some(None));
+        assert_eq!(remaining(Some(Instant::now())), None, "a passed deadline has no time left");
     }
 
     #[test]

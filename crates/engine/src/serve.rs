@@ -6,8 +6,7 @@
 //! # Protocol
 //!
 //! One request per line, connections may carry any number of requests. A
-//! request is a **study body** — the same shape the shard [`Manifest`]
-//! embeds, read back by [`ShardedStudy::from_value`]:
+//! request is a **study body**, read back by [`ShardedStudy::from_value`]:
 //!
 //! ```text
 //! {"sources": ["spec ex { ... }"], "latencies": [3, 4],
@@ -26,11 +25,10 @@
 //! server executes only that range of the study's key-sorted distinct
 //! jobs ([`crate::shard::shard_slice`]) and answers
 //! `{"ok":true,"shard_index":…,"shard_count":…,"service":{…},"stats":{…}}`
-//! — the batch's [`EngineStats`] instead of a report, mirroring the
-//! stats line a local `shard-worker` process prints on stdout. The
-//! results travel through the server's `--cache-dir` (which must be the
-//! store the dispatching coordinator reads), so shard requests are
-//! rejected on a server started without one.
+//! — the batch's [`EngineStats`] instead of a report. The results travel
+//! through the server's `--cache-dir` (which must be the store the
+//! dispatching coordinator reads), so shard requests are rejected on a
+//! server started without one.
 //!
 //! A successful response is `{"ok":true,"service":{...},"report":{...}}`
 //! with the **report field last**: its value is byte-for-byte the

@@ -1,35 +1,28 @@
 //! Sharded multi-process execution: partition a [`Study`]'s deduplicated
-//! job list by [`JobKey`] range across workers that share one persistent
-//! cache directory, then reassemble the exact single-process
-//! [`StudyReport`].
+//! job list by [`JobKey`] range across `bittrans serve` endpoints that
+//! share one persistent cache directory, then reassemble the exact
+//! single-process [`StudyReport`].
 //!
 //! # Transports
 //!
-//! *Where* a shard runs is a [`Transport`] decision, made per run:
+//! Every shard travels the same way: as a **shard request** to a `serve`
+//! endpoint ([`crate::serve`]) — the study body plus
+//! `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
+//! newline-delimited JSON protocol ([`crate::proto`]). The
+//! [`Transport`] only decides where the endpoints come from:
 //!
-//! * [`Transport::Local`] re-invokes the `bittrans` binary as one
-//!   `shard-worker` process per shard on this machine (the original
-//!   protocol below);
-//! * [`Transport::Remote`] dispatches each shard as a **shard request**
-//!   to one of a fleet of `bittrans serve` endpoints
-//!   ([`crate::serve`]) — the study body plus
-//!   `shard_index`/`shard_count` ([`SHARD_COORD_FIELDS`]) over the
-//!   newline-delimited JSON protocol, endpoints assigned round-robin
-//!   ([`assign_round_robin`]), every read under a deadline
-//!   ([`crate::proto`]). A failed or unreachable endpoint's shard is
-//!   retried on the next endpoint (each endpoint at most once per
-//!   shard); a shard that exhausts the fleet is marked failed and its
-//!   missing keys are recomputed in-process, exactly like a crashed
-//!   local worker.
-//!
-//! Both transports feed the same merge: per-shard [`EngineStats`] (a
-//! local worker's stdout line, a remote response's `stats` field) are
-//! absorbed identically, and the final report never depends on a worker
-//! having survived. The one remote-only requirement is the **shared
-//! store**: every endpoint must have been started with a `--cache-dir`
-//! on the same filesystem the coordinator reads (NFS or equivalent for
-//! real multi-machine grids), because the store — not the response — is
-//! the result channel.
+//! * [`Transport::Local`] spawns one `serve --addr 127.0.0.1:0` child per
+//!   shard on this machine, pointed at the coordinator's store, reads
+//!   each child's `listening on ADDR` banner, and kills and reaps the
+//!   children afterwards — on every path, a panic included. Its
+//!   exchanges have no deadline: a child that dies closes its socket, and
+//!   that EOF is the failure signal, so a long shard never fails over just
+//!   for being long. A child that never announces an address is left out.
+//! * [`Transport::Remote`] uses a fleet of running `serve` endpoints, every
+//!   exchange under a deadline. Each endpoint must have been started with
+//!   a `--cache-dir` on the filesystem the coordinator reads (NFS or
+//!   equivalent across machines), because the store — not the response —
+//!   is the result channel.
 //!
 //! # Protocol
 //!
@@ -38,28 +31,23 @@
 //! 1. expands the study grid, deduplicates it by key, **sorts the distinct
 //!    jobs by [`JobKey`]** and splits the sorted list into K contiguous
 //!    ranges ([`partition`] — total and disjoint by construction);
-//! 2. writes one JSON [`Manifest`] per shard (the full study description
-//!    plus `shard_index`/`shard_count`) under `<cache-dir>/.shards/` and
-//!    spawns K worker processes — re-invocations of the `bittrans` binary
-//!    with the hidden `shard-worker` subcommand — all pointed at the same
-//!    `--cache-dir`;
-//! 3. each worker re-derives the identical sorted job list from its
-//!    manifest, takes its range, runs it through a normal [`Engine`] (so
-//!    every success is spilled into the shared directory), and prints its
-//!    [`EngineStats`] as one JSON line on stdout;
-//! 4. the coordinator waits for every worker, merges the per-shard stats
-//!    ([`EngineStats::merged`]), and re-reads the cache directory. Any
-//!    distinct key missing from the store — a gap left by a crashed or
-//!    killed worker, or an infeasible coordinate whose error is never
-//!    persisted — is computed in-process by the coordinator's own engine.
-//!    The assembled [`StudyReport`] is therefore **bit-identical** to what
-//!    a single-process [`Study::run`] over the same grid and cache state
+//! 2. homes shard `i` on endpoint `i mod n` ([`assign_round_robin`]) and
+//!    sends it; the endpoint re-derives the identical sorted job list,
+//!    runs its range ([`shard_slice`]) so every success spills into the
+//!    shared store, and answers with the batch's [`EngineStats`]. A failed
+//!    exchange is retried on the next endpoint, each endpoint at most once
+//!    per shard; a shard that exhausts the endpoints is marked failed;
+//! 3. merges the per-shard stats ([`EngineStats::merged`]) and re-reads the
+//!    store. Any distinct key still missing — a gap left by a failed
+//!    shard, or an infeasible coordinate whose error is never persisted —
+//!    is computed in-process by the coordinator's own engine. The
+//!    assembled [`StudyReport`] is therefore **bit-identical** to what a
+//!    single-process [`Study::run`] over the same grid and cache state
 //!    produces, faults or no faults.
 //!
-//! The cache directory is the only result channel: workers never talk to
-//! each other, ranges are disjoint so racing writers never collide on a
-//! key, and a worker dying mid-shard costs only the recomputation of its
-//! unfinished range.
+//! Ranges are disjoint, so racing writers never collide on a key, and an
+//! endpoint dying mid-shard costs only the recomputation of its unfinished
+//! range.
 //!
 //! Because a study's `Spec` values cannot be re-serialized into parseable
 //! DSL (the IR's `Display` is a dump format), a sharded study starts from
@@ -74,7 +62,7 @@ use crate::report::StudyReport;
 use crate::stats::{EndpointStats, EngineStats};
 use crate::study::{self, Study};
 use crate::trace;
-use crate::{Engine, EngineOptions, Job};
+use crate::{Engine, Job};
 use bittrans_core::CompareOptions;
 use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
@@ -84,20 +72,20 @@ use serde::{Serialize, Serializer};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why a sharded run (or a worker) could not start. Worker *crashes* are
-/// not errors — the coordinator absorbs those — only unusable inputs are.
+/// Why a sharded run could not start. Endpoint *crashes* are not errors —
+/// the coordinator absorbs those — only unusable inputs are.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Creating the cache directory, writing manifests, or similar I/O.
+    /// Creating or reading the cache directory.
     Io(io::Error),
-    /// A manifest or spec source failed to parse.
+    /// A study body or spec source failed to parse.
     Invalid(String),
 }
 
@@ -167,8 +155,8 @@ pub fn parse_endpoints(list: &str) -> Result<Vec<String>, ShardError> {
 }
 
 /// A [`Study`] described by its **source text** instead of parsed specs,
-/// so it can cross a process boundary in a manifest. [`ShardedStudy::study`]
-/// parses it back; coordinator and workers both do, so their grids — and
+/// so it can cross a process boundary in a request. [`ShardedStudy::study`]
+/// parses it back; coordinator and endpoints both do, so their grids — and
 /// therefore their content keys — agree exactly.
 #[derive(Clone, Debug)]
 pub struct ShardedStudy {
@@ -196,18 +184,16 @@ impl ShardedStudy {
         ["sources", "latencies", "adder_archs", "balance", "verify_vectors", "base"];
 
     /// Reads a study body back from a parsed JSON object — the reverse of
-    /// this type's `Serialize` impl. Shared by the [`Manifest`] reader
-    /// (whose flat layout carries the same field names) and the `serve`
-    /// request parser, so a study serialized by any front end deserializes
-    /// identically everywhere.
+    /// this type's `Serialize` impl — the `serve` request parser's reader
+    /// for both whole-study and shard requests, so a study serialized by
+    /// any front end deserializes identically everywhere.
     ///
     /// Ignores fields outside [`ShardedStudy::FIELDS`]; callers that must
     /// reject unknown fields check the key set first. Only `sources` is
     /// required: an absent `latencies` collapses to the [`Study`] default
-    /// (λ = 3) and an absent `base` to [`CompareOptions::default`] —
-    /// machine writers (the [`Manifest`]) always spell both out, and
-    /// because every reader applies the same defaults, a hand-written
-    /// request and its expanded form produce identical grids and keys.
+    /// (λ = 3) and an absent `base` to [`CompareOptions::default`], so a
+    /// hand-written request and its expanded form produce identical grids
+    /// and keys.
     ///
     /// # Errors
     ///
@@ -310,11 +296,10 @@ impl ShardedStudy {
 /// The two wire fields a **shard request** carries on top of the study
 /// body: a `serve` endpoint receiving them executes only that range of
 /// the study's key-sorted distinct jobs ([`shard_slice`]) and answers
-/// with the batch's [`EngineStats`] instead of a report — the remote
-/// counterpart of a local worker's stdout stats line.
+/// with the batch's [`EngineStats`] instead of a report.
 pub const SHARD_COORD_FIELDS: [&str; 2] = ["shard_index", "shard_count"];
 
-/// The wire form of one remote shard dispatch: the flat study body plus
+/// The wire form of one shard dispatch: the flat study body plus
 /// the shard coordinates. The `serve` request parser reads the study
 /// back with [`ShardedStudy::from_value`] exactly as it reads a
 /// whole-study request, so the two request shapes cannot drift apart.
@@ -334,25 +319,6 @@ impl Serialize for ShardRequest<'_> {
     }
 }
 
-/// Version of the manifest layout; workers reject anything else.
-pub const MANIFEST_SCHEMA: u64 = 1;
-
-/// Everything one worker process needs: the full study, its shard
-/// coordinates, and the shared cache directory.
-#[derive(Clone, Debug)]
-pub struct Manifest {
-    /// The study, by source text.
-    pub study: ShardedStudy,
-    /// This worker's shard (0-based).
-    pub shard_index: usize,
-    /// Total shards the sorted job list is split into.
-    pub shard_count: usize,
-    /// Worker threads inside this shard (`None`: all cores).
-    pub threads: Option<usize>,
-    /// The shared result store.
-    pub cache_dir: PathBuf,
-}
-
 fn parse_adder_code(code: &str) -> Result<AdderArch, ShardError> {
     AdderArch::from_code(code).ok_or_else(|| invalid(format!("unknown adder code `{code}`")))
 }
@@ -361,7 +327,7 @@ fn parse_adder_code(code: &str) -> Result<AdderArch, ShardError> {
 /// with the canonical-codec magic — the versioned [`Spec::to_canonical`]
 /// encoding. Generated specs (the fuzzer's `random_spec` output) have no
 /// DSL source, so coordinators ship them as canonical text and every
-/// worker process or `serve` endpoint reconstructs the identical spec
+/// `serve` endpoint reconstructs the identical spec
 /// here; `from_canonical(to_canonical(s)) == s`, so content keys agree
 /// across processes.
 pub fn parse_source(src: &str) -> Result<Spec, ShardError> {
@@ -372,23 +338,10 @@ pub fn parse_source(src: &str) -> Result<Spec, ShardError> {
     }
 }
 
-impl Serialize for Manifest {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Manifest", 11)?;
-        st.serialize_field("schema", &MANIFEST_SCHEMA)?;
-        st.serialize_field("shard_index", &self.shard_index)?;
-        st.serialize_field("shard_count", &self.shard_count)?;
-        st.serialize_field("threads", &self.threads)?;
-        st.serialize_field("cache_dir", &self.cache_dir.to_string_lossy().into_owned())?;
-        serialize_study_fields(&mut st, &self.study)?;
-        st.end()
-    }
-}
-
 /// Writes the six study-body fields into an in-progress JSON object —
-/// shared by the standalone [`ShardedStudy`] serialization (the `serve`
-/// request body) and the flat [`Manifest`] layout, so both spell the wire
-/// schema identically.
+/// shared by the standalone [`ShardedStudy`] serialization (a whole-study
+/// `serve` request) and the flat [`ShardRequest`] layout, so both spell
+/// the wire schema identically.
 fn serialize_study_fields<S: SerializeStruct>(
     st: &mut S,
     study: &ShardedStudy,
@@ -445,80 +398,10 @@ fn optional<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
     }
 }
 
-impl Manifest {
-    /// The manifest as one line of JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("manifest serializes")
-    }
-
-    /// Parses a manifest produced by [`Manifest::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Invalid`] on malformed JSON, a missing field, or a
-    /// schema this build does not understand.
-    pub fn from_json(text: &str) -> Result<Self, ShardError> {
-        let value = serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
-        let schema = field(&value, "schema")?.as_u64();
-        if schema != Some(MANIFEST_SCHEMA) {
-            return Err(invalid(format!("unsupported manifest schema {schema:?}")));
-        }
-        // `from_value` defaults absent `latencies`/`base` for hand-written
-        // serve requests; a machine-written manifest always spells them
-        // out, so absence here is corruption or coordinator/worker version
-        // skew and silently running a default grid would persist results
-        // under the wrong study. Require them.
-        field(&value, "latencies")?;
-        field(&value, "base")?;
-        let study = ShardedStudy::from_value(&value)?;
-        let shard_index = as_usize(&value, "shard_index")?;
-        let shard_count = as_usize(&value, "shard_count")?;
-        if shard_count == 0 || shard_index >= shard_count {
-            return Err(invalid(format!("shard {shard_index} of {shard_count} is out of range")));
-        }
-        let threads = optional(&value, "threads")
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| invalid("manifest `threads` is not an unsigned integer"))
-            })
-            .transpose()?;
-        let cache_dir = PathBuf::from(
-            field(&value, "cache_dir")?
-                .as_str()
-                .ok_or_else(|| invalid("manifest `cache_dir` is not a string"))?,
-        );
-        Ok(Manifest { study, shard_index, shard_count, threads, cache_dir })
-    }
-
-    /// Reads a manifest file.
-    ///
-    /// # Errors
-    ///
-    /// I/O reading the file, or anything [`Manifest::from_json`] rejects.
-    pub fn read(path: &Path) -> Result<Self, ShardError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text)
-    }
-
-    /// This shard's slice of the study: the grid deduplicated, sorted by
-    /// key, and cut to the `shard_index`-th of `shard_count` ranges. Every
-    /// worker (and the coordinator) computes the same partition from the
-    /// same pure inputs.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Invalid`] when a source does not parse.
-    pub fn jobs(&self) -> Result<Vec<Job>, ShardError> {
-        Ok(shard_slice(&self.study.study()?, self.shard_index, self.shard_count))
-    }
-}
-
 /// The `index`-th of `count` ranges of a study's key-sorted distinct job
-/// list — the slice one worker executes, whether that worker is a local
-/// `shard-worker` process (via [`Manifest::jobs`]) or a `serve` endpoint
-/// answering a shard request. An out-of-range `index` yields an empty
-/// slice; `count` of zero is treated as one.
+/// list — the slice a `serve` endpoint executes for a shard request. An
+/// out-of-range `index` yields an empty slice; `count` of zero is treated
+/// as one.
 ///
 /// The cut is the same integer arithmetic [`partition`] performs,
 /// computed directly for the one requested range: a `serve` endpoint
@@ -562,82 +445,25 @@ fn sorted_distinct(study: &Study) -> Vec<Job> {
     jobs
 }
 
-/// A test-only fault injected into [`run_worker`]: process the shard one
-/// job at a time and stop — as if the process were killed — after
-/// `abort_after` jobs. Triggered by the CLI from the
-/// `BITTRANS_SHARD_FAULT` environment variable.
-#[derive(Clone, Copy, Debug)]
-pub struct Fault {
-    /// Jobs to complete (and spill) before dying.
-    pub abort_after: usize,
-}
-
-/// What a worker did: its engine statistics, how many jobs it finished,
-/// and whether an injected fault stopped it early.
-#[derive(Clone, Debug)]
-pub struct WorkerRun {
-    /// Statistics of the work actually performed.
-    pub stats: EngineStats,
-    /// Jobs completed (equals the shard size when not aborted).
-    pub completed: usize,
-    /// Whether an injected [`Fault`] stopped the shard early. The caller
-    /// is expected to exit abnormally so the coordinator sees a dead
-    /// worker.
-    pub aborted: bool,
-}
-
-/// Runs one shard: re-derives the job range from the manifest and pushes
-/// it through an [`Engine`] attached to the shared cache directory, so
-/// every successful comparison lands in the store. With a [`Fault`], jobs
-/// run one at a time (each spilled as it completes) and the run stops
-/// early — the harness hook for killing a worker mid-shard.
-///
-/// # Errors
-///
-/// [`ShardError`] on unusable manifests or an unusable cache directory —
-/// never on pipeline errors, which are per-job results like everywhere
-/// else.
-pub fn run_worker(manifest: &Manifest, fault: Option<Fault>) -> Result<WorkerRun, ShardError> {
-    let jobs = manifest.jobs()?;
-    let total = jobs.len();
-    let engine = Engine::new(EngineOptions { workers: manifest.threads, cache: true })
-        .with_cache_dir(&manifest.cache_dir)?;
-    let Some(fault) = fault else {
-        let batch = engine.run(jobs);
-        return Ok(WorkerRun { stats: batch.stats, completed: total, aborted: false });
-    };
-    let mut stats = EngineStats::zero();
-    let mut completed = 0;
-    for job in jobs {
-        if completed == fault.abort_after {
-            return Ok(WorkerRun { stats, completed, aborted: true });
-        }
-        stats.absorb(&engine.run(vec![job]).stats);
-        completed += 1;
-    }
-    Ok(WorkerRun { stats, completed, aborted: false })
-}
-
-/// Where shard work is dispatched: local worker processes or a fleet of
-/// remote `serve` endpoints. See the [module docs](self) for how the two
-/// transports share one merge and one recovery contract.
+/// Where the `serve` endpoints that run the shards come from: children
+/// spawned on this machine, or a running fleet. See the [module
+/// docs](self) for the one dispatch path both feed.
 #[derive(Clone, Debug)]
 pub enum Transport {
-    /// Re-invoke the `bittrans` binary as one `shard-worker` process per
-    /// shard on this machine.
+    /// Spawn one `bittrans serve` child per shard on this machine.
     Local(LocalTransport),
     /// Send each shard as a shard request to one of a fleet of
     /// `bittrans serve` endpoints sharing the coordinator's store.
     Remote(RemoteTransport),
 }
 
-/// The local process-spawn transport.
+/// The local transport: `serve` children on loopback ports.
 #[derive(Clone, Debug)]
 pub struct LocalTransport {
-    /// The binary to re-invoke with `shard-worker <manifest>` — normally
-    /// `std::env::current_exe()` of the `bittrans` CLI.
+    /// The binary to run as `serve --addr 127.0.0.1:0 --cache-dir <store>`
+    /// — normally `std::env::current_exe()` of the `bittrans` CLI.
     pub worker_binary: PathBuf,
-    /// Worker threads per shard (`None`: all cores in every worker).
+    /// Each child's `--jobs` (`None`: all cores in every child).
     pub threads_per_worker: Option<usize>,
 }
 
@@ -681,33 +507,33 @@ pub struct ShardRun {
     /// the pools that ran, `elapsed` is coordinator wall clock.
     pub report: StudyReport,
     /// Per-shard statistics merged ([`EngineStats::merged`]) with the
-    /// coordinator's retry work. Jobs a dead worker finished but never
+    /// coordinator's retry work. Jobs a dead endpoint finished but never
     /// reported are absent — compare with `report.stats` to spot lost
     /// accounting.
     pub merged: EngineStats,
-    /// Each worker's own statistics (`None` for a shard that died or
-    /// produced no parseable stats line).
+    /// Each shard's own statistics (`None` for a shard no endpoint
+    /// completed).
     pub shard_stats: Vec<Option<EngineStats>>,
     /// Who did the work: one entry per dispatch target that completed at
-    /// least one shard (a `host:port` endpoint, the `local` process
-    /// pool), plus a `coordinator` entry when gap-fill recomputation ran
+    /// least one shard (a `host:port` endpoint, a local child's loopback
+    /// address included), plus a `coordinator` entry when gap-fill recomputation ran
     /// — so the merged totals stay attributable per machine.
     pub endpoints: Vec<EndpointStats>,
-    /// Shards that exited abnormally or reported nothing.
+    /// Shards no endpoint completed.
     pub failed: Vec<usize>,
     /// Keys from failed shards' ranges that were absent from the store
-    /// after the workers finished and were recomputed in-process.
+    /// after dispatch finished and were recomputed in-process.
     pub retried: Vec<JobKey>,
 }
 
-/// Runs `study` across `options.shards` worker processes sharing
-/// `cache_dir` as the result store, and reassembles the single-process
-/// report. See the [module docs](self) for the full protocol; the short
-/// version: partition → spawn → wait → merge stats → re-read the store →
-/// recompute whatever is missing (crashed-worker gaps and never-persisted
-/// pipeline errors) in-process.
+/// Runs `study` as `options.shards` shard requests to `serve` endpoints
+/// sharing `cache_dir` as the result store, and reassembles the
+/// single-process report. See the [module docs](self) for the full
+/// protocol; the short version: partition → dispatch → merge stats →
+/// re-read the store → recompute whatever is missing (failed-shard gaps
+/// and never-persisted pipeline errors) in-process.
 ///
-/// A crashed, killed or lying worker never fails the run — its range is
+/// A crashed, killed or lying endpoint never fails the run — its range is
 /// detected as missing and retried locally — so the result is exactly as
 /// durable as a single-process run.
 ///
@@ -763,19 +589,14 @@ pub fn run_sharded(
     // Dispatch the shards through the configured transport. A shard that
     // cannot be dispatched at all is treated exactly like one that
     // crashed: its range is detected as missing and recomputed below.
-    let dispatch = if shards == 0 {
-        Dispatch::empty(0)
-    } else {
-        match &options.transport {
-            Transport::Local(local) => dispatch_local(sharded, shards, cache_dir, local)?,
-            Transport::Remote(remote) => dispatch_remote(sharded, shards, remote),
-        }
+    let Dispatch { shard_stats, mut endpoints, failed } = match &options.transport {
+        Transport::Local(local) => dispatch_local(sharded, shards, cache_dir, local),
+        Transport::Remote(remote) => dispatch_remote(sharded, shards, remote),
     };
-    let Dispatch { shard_stats, mut endpoints, failed } = dispatch;
 
     // Re-read the shared store and detect gaps before the final batch: a
     // key from a failed shard's range with no entry on disk is work the
-    // dead worker never finished.
+    // dead endpoint never finished.
     let after = DirIndex::open(cache_dir)?;
     let on_disk: HashSet<JobKey> = after.keys().collect();
     drop(after);
@@ -835,7 +656,7 @@ pub fn run_sharded(
         cache_entries: preloaded_total - stale + (distinct_count - hits) as usize,
         workers: merged.workers,
         elapsed: started.elapsed(),
-        // Stage work happened inside the shard processes (and the
+        // Stage work happened inside the endpoints (and the
         // gap-fill batch); the merged endpoint stats carry it.
         stage_hits: merged.stage_hits,
         stage_misses: merged.stage_misses,
@@ -860,114 +681,94 @@ struct Dispatch {
     failed: Vec<usize>,
 }
 
-impl Dispatch {
-    fn empty(shards: usize) -> Dispatch {
-        Dispatch { shard_stats: vec![None; shards], endpoints: Vec::new(), failed: Vec::new() }
-    }
-}
-
-/// Local dispatch: write one manifest per shard and spawn one
-/// `shard-worker` re-invocation per shard, all pointed at the shared
-/// store; a worker's one-line stdout stats are its report.
-///
-/// # Errors
-///
-/// Creating the scratch directory or writing a manifest. Spawn failures
-/// are per-shard faults, not errors.
+/// Local dispatch: one `serve` child per shard over the shared store,
+/// fed through [`dispatch_remote`] with no deadline — a child's exit
+/// closes its socket, and that EOF fails the exchange.
 fn dispatch_local(
     sharded: &ShardedStudy,
     shards: usize,
     cache_dir: &Path,
     transport: &LocalTransport,
-) -> Result<Dispatch, ShardError> {
-    let scratch = cache_dir.join(".shards").join(format!("run-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch)?;
-    let mut children: Vec<(usize, io::Result<Child>)> = Vec::new();
-    for index in 0..shards {
-        let manifest = Manifest {
-            study: sharded.clone(),
-            shard_index: index,
-            shard_count: shards,
-            threads: transport.threads_per_worker,
-            cache_dir: cache_dir.to_path_buf(),
-        };
-        let path = scratch.join(format!("shard-{index}.json"));
-        std::fs::write(&path, manifest.to_json())?;
-        trace::event("shard.dispatch", |a| {
-            a.num("shard", index as u64).num("attempt", 0).str("endpoint", "local");
-        });
-        let child = Command::new(&transport.worker_binary)
-            .arg("shard-worker")
-            .arg(&path)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn();
-        children.push((index, child));
-    }
-
-    let mut dispatch = Dispatch::empty(shards);
-    for (index, child) in children {
-        let output = child.and_then(Child::wait_with_output);
-        match output {
-            Ok(out) if out.status.success() => {
-                match proto::stats_line(&String::from_utf8_lossy(&out.stdout)) {
-                    Some(stats) => {
-                        trace::event("shard.served", |a| {
-                            a.num("shard", index as u64)
-                                .str("endpoint", "local")
-                                .num("jobs", stats.jobs);
-                        });
-                        dispatch.shard_stats[index] = Some(stats);
-                    }
-                    None => {
-                        trace::event("shard.fallback", |a| {
-                            a.num("shard", index as u64)
-                                .str("endpoint", "local")
-                                .str("error", "no stats line");
-                        });
-                        dispatch.failed.push(index);
-                    }
-                }
-            }
-            _ => {
-                trace::event("shard.fallback", |a| {
-                    a.num("shard", index as u64)
-                        .str("endpoint", "local")
-                        .str("error", "worker exited abnormally");
-                });
-                dispatch.failed.push(index);
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let completed: Vec<usize> =
-        (0..shards).filter(|&index| dispatch.shard_stats[index].is_some()).collect();
-    if !completed.is_empty() {
-        dispatch.endpoints.push(EndpointStats {
-            endpoint: "local".to_string(),
-            stats: EngineStats::merged(
-                completed.iter().filter_map(|&index| dispatch.shard_stats[index].as_ref()),
-            ),
-            shards: completed,
-        });
-    }
-    Ok(dispatch)
+) -> Dispatch {
+    let fleet = LocalFleet::spawn(shards, cache_dir, transport);
+    let endpoints = fleet.children.iter().filter_map(|(_, addr)| addr.clone()).collect();
+    dispatch_remote(sharded, shards, &RemoteTransport { endpoints, timeout: Duration::MAX })
 }
 
-/// Remote dispatch: one thread per shard walks the endpoint ring from
+/// The `serve` children of one local dispatch, each with the address it
+/// announced. Dropping the fleet kills and reaps every child, so no path
+/// — a panic included — leaks one. Killing loses nothing once the shards
+/// are answered: a child spills each result atomically (temp file +
+/// rename) and flushes its index before it answers.
+struct LocalFleet {
+    children: Vec<(Child, Option<String>)>,
+}
+
+impl LocalFleet {
+    /// Spawns `count` children and reads each one's `listening on ADDR`
+    /// banner. A child that exits or prints anything else first gets no
+    /// address; its shards go to the others, and with no child left every
+    /// shard falls to the coordinator's gap-fill.
+    fn spawn(count: usize, cache_dir: &Path, transport: &LocalTransport) -> LocalFleet {
+        let mut fleet = LocalFleet { children: Vec::with_capacity(count) };
+        for _ in 0..count {
+            let mut command = Command::new(&transport.worker_binary);
+            command.args(["serve", "--addr", "127.0.0.1:0", "--cache-dir"]).arg(cache_dir);
+            if let Some(threads) = transport.threads_per_worker {
+                command.arg("--jobs").arg(threads.to_string());
+            }
+            // One trace file per process: a child inheriting the trace
+            // variable would rewrite the coordinator's file.
+            command
+                .env_remove("BITTRANS_TRACE")
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null());
+            match command.spawn() {
+                Ok(child) => fleet.children.push((child, None)),
+                Err(e) => trace::diag(&format!(
+                    "local shard server {}: {e}",
+                    transport.worker_binary.display()
+                )),
+            }
+        }
+        for (child, addr) in &mut fleet.children {
+            *addr = announced_addr(child);
+            if addr.is_none() {
+                trace::diag(&format!(
+                    "local shard server (pid {}) announced no address",
+                    child.id()
+                ));
+            }
+        }
+        fleet
+    }
+}
+
+impl Drop for LocalFleet {
+    fn drop(&mut self) {
+        for (child, _) in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// The `listening on ADDR` banner a `serve` child prints once bound;
+/// `None` when it exits or prints anything else first.
+fn announced_addr(child: &mut Child) -> Option<String> {
+    let mut line = String::new();
+    BufReader::new(child.stdout.take()?).read_line(&mut line).ok()?;
+    line.trim().strip_prefix("listening on ").map(str::to_string)
+}
+
+/// Dispatch over endpoints: one thread per shard walks the ring from
 /// the shard's round-robin home, trying each endpoint at most once,
 /// until a shard request succeeds or the fleet is exhausted. Every
 /// failure is logged to stderr and absorbed — the coordinator's gap-fill
 /// is the backstop, so a dead fleet degrades to a single-process run
 /// instead of an error.
 fn dispatch_remote(sharded: &ShardedStudy, shards: usize, transport: &RemoteTransport) -> Dispatch {
-    if transport.endpoints.is_empty() {
-        let mut dispatch = Dispatch::empty(shards);
-        dispatch.failed = (0..shards).collect();
-        return dispatch;
-    }
     let assignment = assign_round_robin(shards, transport.endpoints.len());
     let study = Arc::new(sharded.clone());
     let endpoints = Arc::new(transport.endpoints.clone());
@@ -1022,7 +823,8 @@ fn dispatch_remote(sharded: &ShardedStudy, shards: usize, transport: &RemoteTran
         })
         .collect();
 
-    let mut dispatch = Dispatch::empty(shards);
+    let mut dispatch =
+        Dispatch { shard_stats: vec![None; shards], endpoints: Vec::new(), failed: Vec::new() };
     let mut per_endpoint: Vec<(Vec<usize>, EngineStats)> =
         vec![(Vec::new(), EngineStats::zero()); transport.endpoints.len()];
     for (index, handle) in handles.into_iter().enumerate() {
@@ -1032,7 +834,19 @@ fn dispatch_remote(sharded: &ShardedStudy, shards: usize, transport: &RemoteTran
                 per_endpoint[which].1.absorb(&stats);
                 dispatch.shard_stats[index] = Some(stats);
             }
-            _ => dispatch.failed.push(index),
+            Ok(None) => dispatch.failed.push(index),
+            Err(payload) => {
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                trace::diag(&format!(
+                    "shard {index}/{shards}: dispatch thread panicked: {why}; \
+                     the coordinator recomputes the range"
+                ));
+                dispatch.failed.push(index);
+            }
         }
     }
     dispatch.endpoints = transport
@@ -1127,6 +941,35 @@ mod tests {
         for bad in ["", " , ", "a:1,", "nohost", "h:0", "h:notaport", "a:1,,b:2"] {
             assert!(parse_endpoints(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    /// A stand-in `serve` binary: announces an address nothing listens
+    /// on, then stays alive until killed.
+    #[cfg(target_os = "linux")]
+    fn fake_server(dir: &Path) -> LocalTransport {
+        use std::os::unix::fs::PermissionsExt;
+        let script = dir.join("fake-serve.sh");
+        std::fs::write(&script, "#!/bin/sh\necho 'listening on 127.0.0.1:1'\nexec sleep 600\n")
+            .unwrap();
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
+        LocalTransport { worker_binary: script, threads_per_worker: None }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn dropping_a_local_fleet_reaps_its_children() {
+        let dir = std::env::temp_dir().join(format!("bittrans_fleet_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let transport = fake_server(&dir);
+        let fleet = LocalFleet::spawn(2, &dir, &transport);
+        assert!(fleet.children.iter().all(|(_, addr)| addr.as_deref() == Some("127.0.0.1:1")));
+        let pids: Vec<u32> = fleet.children.iter().map(|(child, _)| child.id()).collect();
+        drop(fleet);
+        assert!(
+            pids.iter().all(|pid| !Path::new(&format!("/proc/{pid}")).exists()),
+            "{pids:?} outlived the fleet"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

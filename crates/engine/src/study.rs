@@ -239,7 +239,7 @@ impl Study {
 
     /// The grid's distinct jobs, in first-occurrence grid order — what a
     /// [`Study::run`] actually submits to the engine, and what a sharded
-    /// run ([`crate::shard`]) partitions across worker processes.
+    /// run ([`crate::shard`]) partitions across `serve` endpoints.
     ///
     /// # Panics
     ///

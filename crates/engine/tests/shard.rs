@@ -3,24 +3,21 @@
 //! * **partitioning is total and disjoint** — property tests over random
 //!   job lists and shard counts: every key lands in exactly one shard and
 //!   the union of the shards is the input;
-//! * **manifests roundtrip** — a worker rebuilt from `Manifest::to_json`
-//!   derives the identical job slice;
-//! * **the coordinator survives dead and lying workers** — with a worker
-//!   binary that exits nonzero (`false`), exits zero without doing any
-//!   work (`true`), or left only a partial shard behind (an in-process
-//!   [`run_worker`] with an injected fault), the assembled report is
+//! * **the coordinator survives dead and lying children** — with a worker
+//!   binary that exits nonzero (`false`) or exits zero without announcing
+//!   an address (`true`), over an empty, warm, partial or corrupted store
+//!   (filled in-process from [`shard_slice`]), the assembled report is
 //!   bit-identical to the single-process run.
 
 use bittrans_core::CompareOptions;
 use bittrans_engine::shard::{
-    partition, run_sharded, run_worker, Fault, LocalTransport, Manifest, ShardOptions,
-    ShardedStudy, Transport,
+    partition, run_sharded, shard_slice, LocalTransport, ShardOptions, ShardedStudy, Transport,
 };
 use bittrans_engine::{Engine, JobKey, StudyReport};
 use bittrans_rtl::AdderArch;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A tiny deterministic generator (xorshift64*) so perturbations are
 /// reproducible from the proptest-drawn seed alone.
@@ -82,14 +79,13 @@ fn random_study(seed: u64) -> ShardedStudy {
     }
 }
 
-fn manifest(study: &ShardedStudy, index: usize, count: usize, dir: &std::path::Path) -> Manifest {
-    Manifest {
-        study: study.clone(),
-        shard_index: index,
-        shard_count: count,
-        threads: Some(1),
-        cache_dir: dir.to_path_buf(),
-    }
+/// Runs `shard_slice(study, index, count)` — its first `limit` jobs — on
+/// an engine over `dir`, spilling every success into the store exactly as
+/// a `serve` endpoint answering that shard request would.
+fn fill_store(study: &ShardedStudy, index: usize, count: usize, limit: usize, dir: &Path) {
+    let mut jobs = shard_slice(&study.study().unwrap(), index, count);
+    jobs.truncate(limit);
+    Engine::default().with_cache_dir(dir).unwrap().run(jobs);
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -139,12 +135,11 @@ proptest! {
     #[test]
     fn prop_shards_cover_every_key_exactly_once(seed in 0u64..500, shards in 1usize..9) {
         let study = random_study(seed);
-        let dir = PathBuf::from("/nonexistent-unused");
         let all = sorted_keys(&study);
         let mut seen: Vec<JobKey> = Vec::new();
         let mut per_shard: Vec<HashSet<JobKey>> = Vec::new();
         for index in 0..shards {
-            let jobs = manifest(&study, index, shards, &dir).jobs().unwrap();
+            let jobs = shard_slice(&study.study().unwrap(), index, shards);
             let keys: HashSet<JobKey> = jobs.iter().map(|j| j.key()).collect();
             prop_assert_eq!(keys.len(), jobs.len(), "a shard never repeats a key");
             seen.extend(keys.iter().copied());
@@ -160,53 +155,6 @@ proptest! {
         seen.sort();
         prop_assert_eq!(seen, all);
     }
-
-    /// A manifest shipped through JSON re-derives the identical job slice.
-    #[test]
-    fn prop_manifest_roundtrips_through_json(seed in 0u64..300, shards in 1usize..5) {
-        let study = random_study(seed);
-        let dir = PathBuf::from("/tmp/anywhere");
-        for index in 0..shards {
-            let original = manifest(&study, index, shards, &dir);
-            let back = Manifest::from_json(&original.to_json()).unwrap();
-            prop_assert_eq!(back.shard_index, index);
-            prop_assert_eq!(back.shard_count, shards);
-            prop_assert_eq!(back.threads, Some(1));
-            prop_assert_eq!(&back.cache_dir, &dir);
-            prop_assert_eq!(
-                back.study.base.timing.delta_ns.to_bits(),
-                study.base.timing.delta_ns.to_bits()
-            );
-            let a: Vec<JobKey> = original.jobs().unwrap().iter().map(|j| j.key()).collect();
-            let b: Vec<JobKey> = back.jobs().unwrap().iter().map(|j| j.key()).collect();
-            prop_assert_eq!(a, b);
-        }
-    }
-}
-
-#[test]
-fn manifest_rejects_garbage() {
-    assert!(Manifest::from_json("not json").is_err());
-    assert!(Manifest::from_json("{}").is_err());
-    assert!(Manifest::from_json("{\"schema\": 999}").is_err());
-    // The serve request reader defaults absent `latencies`/`base`, but a
-    // manifest missing either is version skew or corruption — running a
-    // default grid instead would persist results under the wrong study.
-    let complete = manifest(&random_study(7), 0, 2, &PathBuf::from("/tmp/x")).to_json();
-    for required in ["\"latencies\":", "\"base\":"] {
-        let start = complete.find(required).unwrap();
-        let renamed = format!(
-            "{}\"dropped_{}",
-            &complete[..start],
-            &complete[start + 1..] // rename the field: value stays valid JSON
-        );
-        assert!(Manifest::from_json(&renamed).is_err(), "manifest without {required} was accepted");
-    }
-    // Out-of-range shard coordinates are caught at parse time.
-    let study = random_study(1);
-    let mut good = manifest(&study, 0, 2, &PathBuf::from("/tmp/x"));
-    good.shard_index = 5;
-    assert!(Manifest::from_json(&good.to_json()).is_err());
 }
 
 fn reference_report(study: &ShardedStudy) -> StudyReport {
@@ -259,10 +207,9 @@ fn workers_fill_the_store_and_the_coordinator_reassembles_it() {
     let study = random_study(44);
     let dir = temp_dir("warm");
     // Run every shard in-process first — the store ends up fully
-    // populated, exactly as if real worker processes had run.
+    // populated, exactly as if real `serve` children had run.
     for index in 0..2 {
-        let run = run_worker(&manifest(&study, index, 2, &dir), None).unwrap();
-        assert!(!run.aborted);
+        fill_store(&study, index, 2, usize::MAX, &dir);
     }
     // The coordinator's workers all "fail" (`true` does nothing), but the
     // store already holds every comparison: nothing is retried, and every
@@ -278,16 +225,14 @@ fn workers_fill_the_store_and_the_coordinator_reassembles_it() {
 }
 
 #[test]
-fn injected_fault_leaves_a_partial_shard_the_coordinator_completes() {
+fn a_partial_shard_is_completed_by_the_coordinator() {
     let study = random_study(45);
     let distinct = study.study().unwrap().distinct_jobs().len();
-    assert!(distinct >= 2, "study too small to abort mid-shard");
-    // Two identical partial stores: shard 0 of 1 dies after one job.
+    assert!(distinct >= 2, "study too small to stop mid-shard");
+    // Two identical partial stores: shard 0 of 1 died after one job.
     let (dir_a, dir_b) = (temp_dir("fault_a"), temp_dir("fault_b"));
     for dir in [&dir_a, &dir_b] {
-        let run = run_worker(&manifest(&study, 0, 1, dir), Some(Fault { abort_after: 1 })).unwrap();
-        assert!(run.aborted);
-        assert_eq!(run.completed, 1);
+        fill_store(&study, 0, 1, 1, dir);
     }
     // Coordinator over the partial store: the missing tail is recomputed
     // and the report matches a single-process run over the same state.
@@ -296,6 +241,8 @@ fn injected_fault_leaves_a_partial_shard_the_coordinator_completes() {
     let reference = study.study().unwrap().run(&warm);
     assert_eq!(cells_json(&run.report), cells_json(&reference));
     assert_eq!(run.report.stats.jobs, distinct as u64);
+    assert_eq!(run.failed, vec![0], "the child announced nothing");
+    assert_eq!(run.retried.len(), distinct - 1, "only the unfinished tail is recomputed");
 }
 
 #[test]
@@ -304,7 +251,7 @@ fn corrupt_preloaded_entry_does_not_break_bit_identity() {
     // Two identical warm stores...
     let (dir_a, dir_b) = (temp_dir("corrupt_a"), temp_dir("corrupt_b"));
     for dir in [&dir_a, &dir_b] {
-        run_worker(&manifest(&study, 0, 1, dir), None).unwrap();
+        fill_store(&study, 0, 1, usize::MAX, dir);
     }
     // ...each with the same entry truncated to garbage (same length, so
     // the index metadata stays plausible).
@@ -329,11 +276,16 @@ fn corrupt_preloaded_entry_does_not_break_bit_identity() {
 }
 
 #[test]
-fn fault_with_a_high_threshold_never_fires() {
+fn a_whole_shard_slice_fills_the_store_once_per_key() {
     let study = random_study(46);
-    let dir = temp_dir("no_fault");
-    let run =
-        run_worker(&manifest(&study, 0, 1, &dir), Some(Fault { abort_after: usize::MAX })).unwrap();
-    assert!(!run.aborted);
-    assert_eq!(run.stats.cache_hits + run.stats.cache_misses, run.stats.jobs);
+    let dir = temp_dir("whole_slice");
+    let jobs = shard_slice(&study.study().unwrap(), 0, 1);
+    let engine = || Engine::default().with_cache_dir(&dir).unwrap();
+    let first = engine().run(jobs.clone());
+    assert_eq!(first.stats.jobs, jobs.len() as u64);
+    assert_eq!(first.stats.cache_hits + first.stats.cache_misses, first.stats.jobs);
+    // A fresh engine over the store finds every feasible key on disk;
+    // only infeasible coordinates, whose errors are never persisted, miss.
+    let infeasible = first.outcomes.iter().filter(|o| o.result.is_err()).count() as u64;
+    assert_eq!(engine().run(jobs).stats.cache_misses, infeasible);
 }

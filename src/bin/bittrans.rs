@@ -32,22 +32,18 @@
 //! persists results on disk, so a repeated invocation over the same inputs
 //! is served entirely from cache.
 //!
-//! `explore --shards K` runs the grid across K worker processes sharing
-//! the cache directory (an automatically cleaned temporary one when
-//! `--cache-dir` is not given); the printed report is bit-identical to the
-//! single-process run, and `--jobs` then caps total threads across all
-//! workers. `explore --workers host:port,host:port` dispatches the shards
-//! to running `bittrans serve` endpoints instead (round-robin, retrying a
-//! failed endpoint's shard on the next one, recomputing in-process
-//! whatever the fleet never delivered); it requires `--cache-dir` — the
-//! store the whole fleet shares — composes with `--shards K` (default:
-//! one shard per endpoint), and bounds every exchange by `--timeout`.
-//! `cache prune` sweeps a cache directory down to a size/age budget,
-//! oldest entries first. The hidden `shard-worker <manifest>` subcommand
-//! is the re-invocation target of the sharding coordinator; the
-//! `BITTRANS_SHARD_FAULT=INDEX:AFTER` environment variable makes that
-//! worker abort after `AFTER` jobs (the fault-injection hook used by the
-//! test harness).
+//! `explore --shards K` runs the grid as K shard requests to K local
+//! `bittrans serve` children sharing the cache directory (an automatically
+//! cleaned temporary one when `--cache-dir` is not given); the printed
+//! report is bit-identical to the single-process run, and `--jobs` then
+//! caps total threads across all children. `explore --workers
+//! host:port,host:port` sends the shards to running `serve` endpoints
+//! instead; it requires `--cache-dir` — the store the whole fleet shares —
+//! composes with `--shards K` (default: one shard per endpoint), and
+//! bounds every exchange by `--timeout`. Either way a failed shard is
+//! retried on the next endpoint and whatever no endpoint delivered is
+//! recomputed in-process. `cache prune` sweeps a cache directory down to a
+//! size/age budget, oldest entries first.
 //!
 //! Every subcommand can write a structured execution trace — one JSON
 //! line per span or event, see `bittrans_engine::trace` — to a file given
@@ -460,11 +456,9 @@ fn run_explore(args: &Args, options: &CompareOptions) -> Result<(), String> {
     finish_explore(&report, args.json)
 }
 
-/// `explore --shards K`: the same grid, run by K worker processes sharing
-/// one cache directory, reassembled into the identical report.
 /// The explore-shaped grid as transportable source text — what a shard
-/// manifest embeds and what `client` sends as a serve request. One
-/// builder for both, so the two front ends cannot drift apart.
+/// request and a `client` request both carry. One builder for both, so
+/// the two front ends cannot drift apart.
 fn sharded_study(args: &Args, options: &CompareOptions) -> Result<shard::ShardedStudy, String> {
     let sources = collect_spec_paths(&args.files)?
         .iter()
@@ -480,52 +474,60 @@ fn sharded_study(args: &Args, options: &CompareOptions) -> Result<shard::Sharded
     })
 }
 
+/// The shard setup `--workers`/`--shards` select, shared by `explore` and
+/// `fuzz`: a running `serve` fleet with `--workers`, local `serve`
+/// children otherwise. Returns the options, the result store, and whether
+/// that store is a temporary directory the caller removes afterwards.
+fn shard_setup(args: &Args) -> Result<(shard::ShardOptions, PathBuf, bool), String> {
+    if let Some(list) = &args.workers {
+        // The coordinator reads results back from the store the fleet
+        // writes, so a shared --cache-dir is not optional — an ephemeral
+        // local one would silently degrade every run to in-process
+        // recomputation.
+        let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
+        let Some(dir) = &args.cache_dir else {
+            return Err(format!(
+                "{} --workers needs --cache-dir: the coordinator and the \
+                 serve fleet must share one result store",
+                args.command
+            ));
+        };
+        let shards = args.shards.unwrap_or(endpoints.len());
+        let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
+        let transport = shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout });
+        return Ok((shard::ShardOptions { shards, transport }, PathBuf::from(dir), false));
+    }
+    let shards = args.shards.unwrap_or(1);
+    let transport = shard::Transport::Local(shard::LocalTransport {
+        worker_binary: std::env::current_exe()
+            .map_err(|e| format!("resolving worker binary: {e}"))?,
+        // `--jobs` caps total threads across the run: split it over the
+        // children, at least one thread each.
+        threads_per_worker: args.jobs.map(|jobs| (jobs / shards).max(1)),
+    });
+    let options = shard::ShardOptions { shards, transport };
+    Ok(match &args.cache_dir {
+        Some(dir) => (options, PathBuf::from(dir), false),
+        None => {
+            let dir = format!("bittrans_{}_{}", args.command, std::process::id());
+            (options, std::env::temp_dir().join(dir), true)
+        }
+    })
+}
+
+/// `explore --shards K` / `--workers …`: the same grid, run as shard
+/// requests over one shared cache directory, reassembled into the
+/// identical report.
 fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), String> {
     let study = sharded_study(args, options)?;
-    let (transport, shards) = match &args.workers {
-        Some(list) => {
-            // Remote dispatch to a `serve` fleet. The coordinator reads
-            // results back from the store the fleet writes, so a shared
-            // --cache-dir is not optional — an ephemeral local one would
-            // silently degrade every run to in-process recomputation.
-            let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
-            if args.cache_dir.is_none() {
-                return Err("explore --workers needs --cache-dir: the coordinator and the \
-                            serve fleet must share one result store"
-                    .into());
-            }
-            if args.jobs.is_some() {
-                eprintln!(
-                    "warning: --jobs has no effect with --workers; each endpoint's pool \
-                     width is set by its own `serve --jobs`"
-                );
-            }
-            let shards = args.shards.unwrap_or(endpoints.len());
-            let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
-            (shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout }), shards)
-        }
-        None => {
-            let shards = args.shards.unwrap_or(1);
-            let worker_binary =
-                std::env::current_exe().map_err(|e| format!("resolving worker binary: {e}"))?;
-            let transport = shard::Transport::Local(shard::LocalTransport {
-                worker_binary,
-                // `--jobs` caps total threads across the run: split it
-                // over the workers, at least one thread each.
-                threads_per_worker: args.jobs.map(|jobs| (jobs / shards.max(1)).max(1)),
-            });
-            (transport, shards)
-        }
-    };
-    // The cache directory is the shared result store; without an explicit
-    // one, shard into a temporary directory and clean it up afterwards.
-    let (cache_dir, ephemeral) = match &args.cache_dir {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => {
-            (std::env::temp_dir().join(format!("bittrans_shards_{}", std::process::id())), true)
-        }
-    };
-    let run = shard::run_sharded(&study, &cache_dir, &shard::ShardOptions { shards, transport });
+    let (shard_options, cache_dir, ephemeral) = shard_setup(args)?;
+    if args.workers.is_some() && args.jobs.is_some() {
+        eprintln!(
+            "warning: --jobs has no effect with --workers; each endpoint's pool \
+             width is set by its own `serve --jobs`"
+        );
+    }
+    let run = shard::run_sharded(&study, &cache_dir, &shard_options);
     if ephemeral {
         let _ = std::fs::remove_dir_all(&cache_dir);
     }
@@ -549,38 +551,6 @@ fn run_explore_sharded(args: &Args, options: &CompareOptions) -> Result<(), Stri
         );
     }
     finish_explore(&run.report, args.json)
-}
-
-/// The hidden coordinator re-invocation target: run one shard's manifest,
-/// print the worker's `EngineStats` as one JSON line. The
-/// `BITTRANS_SHARD_FAULT=INDEX:AFTER` environment variable aborts shard
-/// INDEX after AFTER jobs — the fault-injection hook the test harness uses
-/// to model a worker killed mid-shard.
-fn run_shard_worker(args: &Args) -> Result<(), String> {
-    let manifest = shard::Manifest::read(Path::new(&args.files[0])).map_err(|e| e.to_string())?;
-    let fault = match std::env::var("BITTRANS_SHARD_FAULT") {
-        Err(_) => None,
-        Ok(spec) => {
-            let (index, after) = spec
-                .split_once(':')
-                .ok_or_else(|| format!("bad BITTRANS_SHARD_FAULT `{spec}` (want INDEX:AFTER)"))?;
-            let index: usize =
-                index.parse().map_err(|e| format!("bad BITTRANS_SHARD_FAULT index: {e}"))?;
-            let after: usize =
-                after.parse().map_err(|e| format!("bad BITTRANS_SHARD_FAULT count: {e}"))?;
-            (index == manifest.shard_index).then_some(shard::Fault { abort_after: after })
-        }
-    };
-    let run = shard::run_worker(&manifest, fault).map_err(|e| e.to_string())?;
-    if run.aborted {
-        eprintln!(
-            "shard {}: injected fault after {} job(s), aborting",
-            manifest.shard_index, run.completed
-        );
-        std::process::exit(134);
-    }
-    println!("{}", serde_json::to_string(&run.stats).map_err(|e| e.to_string())?);
-    Ok(())
 }
 
 /// `serve`: the long-lived study service — one warm engine, newline-
@@ -748,47 +718,14 @@ fn run_fuzz(args: &Args) -> Result<(), String> {
     let count = args.count.unwrap_or(100);
     let seed = args.seed.unwrap_or(0);
     // The differential (sharded/remote) cross-check engages exactly like
-    // explore's transport selection: --workers for a serve fleet,
-    // --shards for local worker processes.
-    let (differential, ephemeral_dir) = match (&args.workers, args.shards) {
-        (Some(list), _) => {
-            let endpoints = shard::parse_endpoints(list).map_err(|e| e.to_string())?;
-            let Some(dir) = &args.cache_dir else {
-                return Err("fuzz --workers needs --cache-dir: the coordinator and the \
-                            serve fleet must share one result store"
-                    .into());
-            };
-            let shards = args.shards.unwrap_or(endpoints.len());
-            let timeout = args.timeout.map_or(proto::DEFAULT_TIMEOUT, Duration::from_secs);
-            let diff = fuzz::Differential {
-                cache_dir: PathBuf::from(dir),
-                shards,
-                transport: shard::Transport::Remote(shard::RemoteTransport { endpoints, timeout }),
-            };
-            (Some(diff), None)
-        }
-        (None, Some(shards)) => {
-            let worker_binary =
-                std::env::current_exe().map_err(|e| format!("resolving worker binary: {e}"))?;
-            let (cache_dir, ephemeral) = match &args.cache_dir {
-                Some(dir) => (PathBuf::from(dir), None),
-                None => {
-                    let dir =
-                        std::env::temp_dir().join(format!("bittrans_fuzz_{}", std::process::id()));
-                    (dir.clone(), Some(dir))
-                }
-            };
-            let diff = fuzz::Differential {
-                cache_dir,
-                shards,
-                transport: shard::Transport::Local(shard::LocalTransport {
-                    worker_binary,
-                    threads_per_worker: args.jobs.map(|jobs| (jobs / shards.max(1)).max(1)),
-                }),
-            };
-            (Some(diff), ephemeral)
-        }
-        (None, None) => (None, None),
+    // explore's transport selection.
+    let (differential, ephemeral_dir) = if args.workers.is_some() || args.shards.is_some() {
+        let (shard_options, cache_dir, ephemeral) = shard_setup(args)?;
+        let ephemeral_dir = ephemeral.then(|| cache_dir.clone());
+        let shard::ShardOptions { shards, transport } = shard_options;
+        (Some(fuzz::Differential { cache_dir, shards, transport }), ephemeral_dir)
+    } else {
+        (None, None)
     };
     let options = fuzz::FuzzOptions {
         count,
@@ -893,13 +830,10 @@ fn run_cache(args: &Args) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    // Install the trace collector before any work runs. `shard-worker`
-    // skips the environment path: every worker of one coordinator inherits
-    // the same BITTRANS_TRACE value, and concurrent whole-file rewrites of
-    // one trace file would leave whichever worker flushed last.
+    // Install the trace collector before any work runs.
     if let Some(path) = &args.trace_out {
         trace::install_file(path);
-    } else if args.command != "shard-worker" {
+    } else {
         trace::install_from_env();
     }
     let result = run_command(&args);
@@ -915,7 +849,6 @@ fn run_command(args: &Args) -> Result<(), String> {
     match args.command.as_str() {
         "batch" => return run_batch(args, &options),
         "explore" => return run_explore(args, &options),
-        "shard-worker" => return run_shard_worker(args),
         "cache" => return run_cache(args),
         "serve" => return run_serve(args),
         "client" => return run_client(args, &options),

@@ -169,3 +169,20 @@ fn serve_and_client_validate_their_flags() {
     assert!(!ok);
     assert!(stderr.contains("connecting"), "{stderr}");
 }
+
+#[test]
+fn an_unrepresentable_client_timeout_means_no_deadline() {
+    // `--timeout u64::MAX` once overflowed `Instant + Duration` and the
+    // client panicked (exit 101). It now means "no deadline", so a dead
+    // endpoint is the usual clean connection error.
+    let spec = repo("specs/ewf_section.spec");
+    let out = std::process::Command::new(support::bin())
+        .args(["client", "--addr", "127.0.0.1:1", "--timeout", &u64::MAX.to_string()])
+        .arg(spec)
+        .output()
+        .expect("bittrans runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: connecting 127.0.0.1:1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -3,8 +3,8 @@
 //! single-process run on the same grid (after dropping the `elapsed_ms`
 //! line, which differs even between two identical single-process runs),
 //! the merged `EngineStats` totals must account for every deduplicated job
-//! exactly once, and a worker killed mid-shard (the
-//! `BITTRANS_SHARD_FAULT` hook) must not change a byte of the report.
+//! exactly once, and the local `serve` children must be gone once the
+//! coordinator returns, whether the run succeeded or failed.
 //!
 //! The remote-transport half drives `explore --workers` against spawned
 //! `bittrans serve` processes: the same byte-identity contract over TCP,
@@ -109,40 +109,8 @@ fn sharded_rerun_is_served_from_the_shared_store() {
 }
 
 #[test]
-fn killed_worker_is_detected_and_its_range_retried() {
-    let (dir_a, dir_b) = (temp_dir("fault_a"), temp_dir("fault_b"));
-    let (single, _) = run_grid(&dir_a, &[], &[]);
-    // Shard 1 of 4 dies after one of its three jobs.
-    let (sharded, stderr) =
-        run_grid(&dir_b, &["--shards", "4"], &[("BITTRANS_SHARD_FAULT", "1:1")]);
-
-    // The coordinator saw the abort, reported the gap, and retried it.
-    assert!(stderr.contains("injected fault after 1 job(s)"), "{stderr}");
-    assert!(stderr.contains("shard 1/4: failed"), "{stderr}");
-    assert!(stderr.contains("retried 2 missing job(s) in-process"), "{stderr}");
-
-    // The report is still bit-exact (workers legitimately differs: the
-    // dead shard's pool is not in the sum).
-    assert_eq!(strip_run_shape(&single), strip_run_shape(&sharded));
-    assert_eq!(stat(&sharded, "jobs"), 12);
-    assert_eq!(stat(&sharded, "cache_misses"), 12);
-}
-
-#[test]
-fn worker_dead_on_arrival_loses_no_results() {
-    let (dir_a, dir_b) = (temp_dir("doa_a"), temp_dir("doa_b"));
-    let (single, _) = run_grid(&dir_a, &[], &[]);
-    // Shard 2 aborts before completing anything: its whole range is a gap.
-    let (sharded, stderr) =
-        run_grid(&dir_b, &["--shards", "4"], &[("BITTRANS_SHARD_FAULT", "2:0")]);
-    assert!(stderr.contains("shard 2/4: failed"), "{stderr}");
-    assert!(stderr.contains("retried 3 missing job(s)"), "{stderr}");
-    assert_eq!(strip_run_shape(&single), strip_run_shape(&sharded));
-}
-
-#[test]
 fn single_shard_and_ephemeral_cache_dir_work() {
-    // --shards 1 still goes through the worker protocol; without
+    // --shards 1 still goes through a local serve child; without
     // --cache-dir the coordinator shards into a temporary store and cleans
     // it up.
     let spec = repo("specs/saturating_mac.spec");
@@ -241,13 +209,53 @@ fn workers_flag_is_validated() {
     assert!(stderr.contains("--timeout must be at least 1"), "{stderr}");
 }
 
+/// `pid: cmdline` of every process whose command line names `needle`.
+#[cfg(target_os = "linux")]
+fn processes_naming(needle: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir("/proc").expect("procfs").flatten() {
+        let Ok(cmdline) = std::fs::read(entry.path().join("cmdline")) else { continue };
+        let cmdline = String::from_utf8_lossy(&cmdline).replace('\0', " ");
+        if cmdline.contains(needle) {
+            found.push(format!("{}: {cmdline}", entry.file_name().to_string_lossy()));
+        }
+    }
+    found
+}
+
+#[cfg(target_os = "linux")]
 #[test]
-fn shard_worker_rejects_a_bad_manifest() {
-    let dir = temp_dir("badmanifest");
-    std::fs::create_dir_all(&dir).unwrap();
-    let manifest = dir.join("manifest.json");
-    std::fs::write(&manifest, "{\"schema\": 42}").unwrap();
-    let (ok, _, stderr) = run_env(&["shard-worker", manifest.to_str().unwrap()], &[]);
+fn local_serve_children_are_reaped_on_success_and_failure() {
+    // Success: a cold 3-shard run over a fresh store.
+    let dir = temp_dir("reap_ok");
+    run_grid(&dir, &["--shards", "3"], &[]);
+    let store = dir.to_string_lossy().into_owned();
+    assert!(processes_naming(&store).is_empty(), "{:?}", processes_naming(&store));
+    assert!(!dir.join(".shards").exists(), "no scratch directory is left in the store");
+
+    // Failure after spawning: every cell is infeasible (λ = 0), so the
+    // children run their shards and the coordinator then fails the run.
+    let dir = temp_dir("reap_fail");
+    let store = dir.to_string_lossy().into_owned();
+    let specs = [repo("specs/ewf_section.spec"), repo("specs/saturating_mac.spec")];
+    let (ok, _, stderr) = run_env(
+        &[
+            "explore",
+            specs[0].to_str().unwrap(),
+            specs[1].to_str().unwrap(),
+            "--latency",
+            "0",
+            "--adders",
+            "rca,cla",
+            "--shards",
+            "3",
+            "--cache-dir",
+            &store,
+        ],
+        &[],
+    );
     assert!(!ok);
-    assert!(stderr.contains("schema"), "{stderr}");
+    assert!(stderr.contains("all 4 grid cells failed"), "{stderr}");
+    assert!(stderr.contains("shard 2/3:"), "three children were spawned: {stderr}");
+    assert!(processes_naming(&store).is_empty(), "{:?}", processes_naming(&store));
 }
