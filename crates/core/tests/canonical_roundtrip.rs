@@ -8,9 +8,9 @@
 
 use bittrans_benchmarks::{random_spec, RandomSpecOptions};
 use bittrans_core::{
-    stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
-    stage_schedule_fragments, stage_time, Chaining, CompareOptions, Datapath, Fragmented,
-    Implementation, Schedule,
+    compare, stage_allocate, stage_extract, stage_fragment, stage_schedule_conventional,
+    stage_schedule_fragments, stage_time, Chaining, CompareOptions, Comparison, Datapath,
+    Fragmented, Implementation, Schedule,
 };
 use bittrans_ir::Spec;
 use proptest::prelude::*;
@@ -87,6 +87,32 @@ proptest! {
                     b.is_ok()
                 ),
             }
+        }
+    }
+
+    #[test]
+    fn comparisons_round_trip(
+        seed in 0u64..1_000_000,
+        ops in 3usize..14,
+        inputs in 2usize..6,
+        latency in 2u32..6,
+        balance in any::<bool>(),
+    ) {
+        let spec = random_spec(
+            seed,
+            &RandomSpecOptions { ops, inputs, ..RandomSpecOptions::default() },
+        );
+        let options = CompareOptions { balance, verify_vectors: 0, ..CompareOptions::default() };
+        // The engine persists a finished job as this document: decoding
+        // it must give back a comparison that serializes byte-identically.
+        if let Ok(cmp) = compare(&spec, latency, &options) {
+            let text = cmp.to_canonical();
+            let back = Comparison::from_canonical(&text).expect("canonical comparison parses");
+            prop_assert_eq!(back.to_canonical(), text);
+            prop_assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                serde_json::to_string(&cmp).unwrap()
+            );
         }
     }
 }

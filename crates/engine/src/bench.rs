@@ -9,7 +9,7 @@
 //!   workers, on a fresh engine each time ([`crate::executor`] scaling);
 //! * **cache** — the same batch cold then warm on one engine, so the
 //!   speedup is the price of the pipeline relative to a content-addressed
-//!   hit ([`crate::cache`]);
+//!   hit on a finished job ([`crate::stagecache`]);
 //! * **incremental** — a verify-heavy grid walked point by point on one
 //!   engine, so every point after the first resolves its extract,
 //!   fragment, verify and schedule stages from the stage memo

@@ -17,11 +17,12 @@
 //!   batch output is deterministic regardless of worker count;
 //! * **content-addressed caching** — every job is keyed by a stable hash
 //!   of its canonicalized specification text, latency and options
-//!   ([`key`]); results live in an in-memory [`cache`] shared by all
-//!   batches run on one engine, with hit/miss counters surfaced through
-//!   [`EngineStats`], and optionally spill to an indexed directory
-//!   ([`Engine::with_cache_dir`]) that later processes read lazily and
-//!   prune by size or age ([`Engine::prune_cache`]);
+//!   ([`key`]); finished jobs and the pipeline stages they ran live in
+//!   one bounded store ([`stagecache`]) shared by all batches run on one
+//!   engine, with hit/miss counters surfaced through [`EngineStats`],
+//!   and optionally spill to a directory ([`Engine::with_cache_dir`])
+//!   that later processes read lazily and prune by size or age
+//!   ([`Engine::prune_cache`]);
 //! * **design-space exploration** — a [`Study`] spans a typed axis grid
 //!   (specs × latencies × adder architectures × balancing × verification)
 //!   and returns a [`StudyReport`] of labelled cells, replacing every
@@ -66,7 +67,6 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod cache;
 pub mod executor;
 pub mod fuzz;
 pub mod job;
@@ -83,7 +83,6 @@ pub mod study;
 pub mod sweep;
 pub mod trace;
 
-pub use cache::ResultCache;
 pub use job::{Job, JobOutcome, JobResult};
 pub use key::JobKey;
 pub use persist::{PrunePolicy, PruneReport};
@@ -94,10 +93,10 @@ pub use study::Study;
 
 use bittrans_core::{compare, SweepPoint};
 use bittrans_ir::Spec;
-use persist::DirIndex;
 use stagecache::{StageCache, StageTally};
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of an [`Engine`].
@@ -115,61 +114,49 @@ impl Default for EngineOptions {
     }
 }
 
-/// Which cache tier answered a [`Engine::lookup`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HitTier {
-    /// Resident in the in-memory cache.
-    Memory,
-    /// Lazily loaded (and promoted) from the cache directory.
-    Disk,
-}
-
 /// The batch-optimization engine: a worker pool plus a content-addressed
-/// result cache shared by every batch run through it, optionally spilled
+/// result store shared by every batch run through it, optionally spilled
 /// to disk ([`Engine::with_cache_dir`]) so separate processes share it too.
 #[derive(Debug, Default)]
 pub struct Engine {
     options: EngineOptions,
-    cache: ResultCache,
-    disk: Option<Mutex<DirIndex>>,
-    /// Incremental sub-job memo: pipeline stages keyed by their inputs,
-    /// shared by every batch and serve request ([`stagecache`]).
+    /// Lifetime job hit/miss counters across every batch and request.
+    cache: StageTally,
+    /// The result store: finished jobs and the pipeline stages they ran,
+    /// keyed by their inputs and shared by every batch and serve request
+    /// ([`stagecache`]).
     stages: StageCache,
 }
 
 impl Engine {
     /// An engine with the given options and an empty cache.
     pub fn new(options: EngineOptions) -> Self {
-        Engine { options, cache: ResultCache::new(), disk: None, stages: StageCache::default() }
+        Engine { options, cache: StageTally::default(), stages: StageCache::default() }
     }
 
-    /// Attaches a persistent cache directory: one JSON file per [`JobKey`],
-    /// written by any earlier process, indexed by an `index.json` manifest.
-    /// Opening reads (or rebuilds) the index only — entry bodies are parsed
-    /// lazily, on first lookup — and every comparison this engine computes
-    /// from here on is spilled back with an atomic rename. A repeated CLI
-    /// or CI invocation over the same inputs is therefore served entirely
-    /// from disk and reports a 100 % hit rate, without having paid an
-    /// upfront parse of the whole directory.
+    /// Attaches a persistent cache directory: every finished comparison
+    /// and every pipeline stage is one `stages/<key>.stage` file, written
+    /// by any earlier process. Opening reads nothing — a file is parsed
+    /// on first lookup of its key — and every comparison and stage this
+    /// engine computes from here on is spilled back with an atomic
+    /// rename. A repeated CLI or CI invocation over the same inputs is
+    /// therefore served entirely from disk and reports a 100 % hit rate.
     ///
-    /// A corrupt entry is invisible: its job recomputes (a miss) and the
-    /// respill repairs the file. A stale or damaged `index.json` is rebuilt
-    /// from the directory contents. A failed spill leaves the entry in
-    /// memory only — the cache is an optimization, never a correctness
-    /// dependency. Only successful comparisons are persisted; pipeline
-    /// errors are recomputed. Persistence is inert when
-    /// [`EngineOptions::cache`] is false.
+    /// A corrupt file is invisible: it is deleted, its job or stage
+    /// recomputes (a miss), and the respill repairs it. A failed spill
+    /// leaves the entry in memory only — the cache is an optimization,
+    /// never a correctness dependency. Only successes are persisted;
+    /// pipeline errors are recomputed. The JSON job files and manifest
+    /// older builds left at the top level of the directory are ignored.
+    /// Persistence is inert when [`EngineOptions::cache`] is false.
     ///
     /// # Errors
     ///
-    /// I/O errors creating or scanning the directory.
+    /// I/O errors creating the directory.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         if self.options.cache {
-            self.disk = Some(Mutex::new(DirIndex::open(&dir)?));
-            // Verify-stage tokens live in a subdirectory the job-entry
-            // scan ignores (it only considers top-level `*.json` files).
             self.stages.attach_disk(dir.join(persist::STAGE_SUBDIR));
         }
         Ok(self)
@@ -181,98 +168,28 @@ impl Engine {
     /// reject shard requests on a store-less server, whose work could
     /// never reach the dispatching coordinator.
     pub fn has_cache_dir(&self) -> bool {
-        self.disk.is_some()
+        self.stages.disk_dir().is_some()
     }
 
-    /// Serves `key` from the in-memory cache or, failing that, lazily from
-    /// the attached cache directory (promoting the entry into memory).
-    /// Corrupt disk entries are dropped from the index so the caller
-    /// recomputes and respills them. The returned provenance says which
-    /// tier answered — the trace collector attributes every hit with it.
-    fn lookup(&self, key: &JobKey) -> Option<HitTier> {
-        if self.cache.peek(key).is_some() {
-            return Some(HitTier::Memory);
-        }
-        let mut disk = self.disk.as_ref()?.lock().expect("cache index lock");
-        match disk.load(*key) {
-            Some(comparison) => {
-                self.cache.insert(*key, Arc::new(Ok(comparison)));
-                Some(HitTier::Disk)
-            }
-            None => {
-                disk.forget(*key);
-                None
-            }
-        }
-    }
-
-    /// Results resident in memory plus on-disk entries not yet promoted.
-    fn resident_entries(&self) -> usize {
-        let in_memory = self.cache.len();
-        match &self.disk {
-            None => in_memory,
-            Some(disk) => {
-                let disk = disk.lock().expect("cache index lock");
-                in_memory + disk.keys().filter(|key| self.cache.peek(key).is_none()).count()
-            }
-        }
-    }
-
-    /// Admits one computed result: inserts it into the in-memory cache and
-    /// spills it to the attached directory (best-effort, same policy as
-    /// [`Engine::run`]'s batch spill). The scheduled `serve` path computes
-    /// jobs outside `Engine::run` and admits them one by one as they
-    /// finish, so concurrent requests see each other's results as early as
-    /// possible. A no-op with caching disabled.
-    pub(crate) fn admit(&self, key: JobKey, result: &Arc<JobResult>) {
-        if !self.options.cache {
-            return;
-        }
-        self.cache.insert(key, Arc::clone(result));
-        if let (Some(disk), Ok(comparison)) = (&self.disk, result.as_ref()) {
-            let _ = disk.lock().expect("cache index lock").save(key, comparison);
-        }
-    }
-
-    /// Flushes the cache directory's index manifest if admissions dirtied
-    /// it — the end-of-batch counterpart of [`Engine::admit`].
-    pub(crate) fn flush_disk(&self) {
-        if let Some(disk) = &self.disk {
-            disk.lock().expect("cache index lock").write_if_dirty();
-        }
-    }
-
-    /// Folds one request's hit/miss classification into the engine's
-    /// lifetime counters (inert with caching disabled), mirroring what
-    /// [`Engine::run`] records for a batch.
-    pub(crate) fn record_lifetime(&self, hits: u64, misses: u64) {
-        if self.options.cache {
-            self.cache.record(hits, misses);
-        }
-    }
-
-    /// Runs one eviction sweep over the attached cache directory: entries
-    /// older than [`PrunePolicy::max_age`] go first, then oldest-first
-    /// until the directory fits in [`PrunePolicy::max_bytes`]. Entries
-    /// whose result is resident in this engine's in-memory cache are
-    /// pinned — a live run never loses the files backing it. The
-    /// `index.json` manifest is rewritten to match.
+    /// Runs one eviction sweep over the attached cache directory's
+    /// `stages/` store: files older than [`PrunePolicy::max_age`] go
+    /// first, then oldest-first until the store fits in
+    /// [`PrunePolicy::max_bytes`]. Files whose job or stage is resident
+    /// in this engine's memo are pinned — a live run never loses the
+    /// files backing it.
     ///
     /// # Errors
     ///
     /// If no cache directory is attached ([`Engine::with_cache_dir`]), or
-    /// deleting an entry fails.
+    /// deleting a file fails.
     pub fn prune_cache(&self, policy: PrunePolicy) -> std::io::Result<PruneReport> {
-        let disk = self.disk.as_ref().ok_or_else(|| {
+        let dir = self.stages.disk_dir().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no cache directory attached")
         })?;
-        let mut disk = disk.lock().expect("cache index lock");
-        let pinned = self.cache.keys().into_iter().collect();
-        let pinned_stages = self.stages.resident_keys();
         let now = std::time::SystemTime::now()
             .duration_since(std::time::SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
-        persist::prune(&mut disk, &policy, &pinned, &pinned_stages, now)
+        persist::prune(dir, &policy, &self.stages.resident_keys(), now)
     }
 
     /// Computes one comparison: through the memoized stage path
@@ -316,24 +233,26 @@ impl Engine {
         // `fresh[i]` marks the one job per key that actually runs. Each
         // classification is one `job` trace event whose provenance
         // (memory / disk / duplicate, plus `computed` in the pool below)
-        // reconciles exactly with the hit/miss counters.
+        // reconciles exactly with the hit/miss counters. `resolved` keeps
+        // every result this batch holds, so assembly never goes back to
+        // the bounded store, which may have evicted it since.
         let mut hits = 0u64;
         let mut to_compute: Vec<(usize, JobKey)> = Vec::new();
         let mut fresh = vec![false; jobs.len()];
-        let mut scheduled: std::collections::HashSet<JobKey> = std::collections::HashSet::new();
+        let mut resolved: HashMap<JobKey, Arc<JobResult>> = HashMap::new();
+        let mut scheduled: HashSet<JobKey> = HashSet::new();
         for (i, key) in keys.iter().enumerate() {
-            let tier = if self.options.cache { self.lookup(key) } else { None };
-            if let Some(tier) = tier {
+            let hit = match resolved.get(key) {
+                Some(result) => Some((Arc::clone(result), "memory")),
+                None if self.options.cache => self.stages.job(*key),
+                None => None,
+            };
+            if let Some((result, provenance)) = hit {
                 hits += 1;
                 trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str(
-                        "provenance",
-                        match tier {
-                            HitTier::Memory => "memory",
-                            HitTier::Disk => "disk",
-                        },
-                    );
+                    a.str("key", &key.to_string()).str("provenance", provenance);
                 });
+                resolved.insert(*key, result);
             } else if scheduled.insert(*key) {
                 fresh[i] = true;
                 to_compute.push((i, *key));
@@ -371,40 +290,27 @@ impl Engine {
             },
         );
         if self.options.cache {
+            // Admitted after the batch, so job entries never push this
+            // batch's own stages out of the bounded memo. A failed spill
+            // costs a recomputation in some later process, never this
+            // batch's result.
             for (key, result) in &computed {
-                self.cache.insert(*key, Arc::clone(result));
-                // Best-effort spill: a failed write costs a recomputation
-                // in some later process, never this batch's result.
-                if let (Some(disk), Ok(comparison)) = (&self.disk, result.as_ref()) {
-                    let _ = disk.lock().expect("cache index lock").save(*key, comparison);
-                }
-            }
-            if let Some(disk) = &self.disk {
-                disk.lock().expect("cache index lock").write_if_dirty();
+                self.stages.admit_job(*key, result);
             }
             self.cache.record(hits, misses);
         }
+        resolved.extend(computed);
 
-        // Assemble outcomes in submission order. Every key is now either
-        // in the cache or (with caching disabled) in the computed list.
-        let computed: std::collections::HashMap<JobKey, Arc<JobResult>> =
-            computed.into_iter().collect();
         let outcomes: Vec<JobOutcome> = jobs
             .iter()
             .zip(&keys)
             .enumerate()
-            .map(|(i, (job, key))| {
-                let result = match computed.get(key) {
-                    Some(result) => Arc::clone(result),
-                    None => self.cache.peek(key).expect("batch result neither computed nor cached"),
-                };
-                JobOutcome {
-                    name: job.spec.name().to_string(),
-                    latency: job.latency,
-                    key: *key,
-                    from_cache: !fresh[i],
-                    result,
-                }
+            .map(|(i, (job, key))| JobOutcome {
+                name: job.spec.name().to_string(),
+                latency: job.latency,
+                key: *key,
+                from_cache: !fresh[i],
+                result: Arc::clone(&resolved[key]),
             })
             .collect();
 
@@ -412,7 +318,7 @@ impl Engine {
             jobs: jobs.len() as u64,
             cache_hits: hits,
             cache_misses: misses,
-            cache_entries: self.resident_entries(),
+            cache_entries: resolved.len(),
             workers,
             elapsed: started.elapsed(),
             stage_hits: tally.hits(),
@@ -452,7 +358,7 @@ impl Engine {
             jobs: self.cache.hits() + self.cache.misses(),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            cache_entries: self.resident_entries(),
+            cache_entries: self.stages.resident_jobs(),
             workers: self.worker_count(),
             elapsed: std::time::Duration::ZERO,
             stage_hits: self.stages.hits(),
@@ -558,5 +464,49 @@ mod tests {
         assert_eq!(warm.stats.stage_hits + warm.stats.stage_misses, 0, "{:?}", warm.stats);
         // Lifetime stage counters survive on the engine.
         assert!(engine.stats().stage_misses > 0);
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_memo_returns_every_outcome() {
+        let dir = std::env::temp_dir()
+            .join(format!("bittrans_engine_bounded_memo_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = three_adds();
+        let mut jobs: Vec<Job> = (2..=5)
+            .flat_map(|latency| {
+                let spec = spec.clone();
+                [true, false].map(move |balance| {
+                    let options = bittrans_core::CompareOptions { balance, ..Default::default() };
+                    Job::with_options(spec.clone(), latency, options)
+                })
+            })
+            .collect();
+        jobs.push(jobs[0].clone());
+        let engine = Engine::default().with_cache_dir(&dir).unwrap();
+        engine.stages.set_memo_capacity(3);
+
+        // Eight distinct jobs through a three-slot memo: every admission
+        // evicts, yet every outcome comes back and equals the monolithic
+        // pipeline's.
+        let report = engine.run(jobs.clone());
+        assert_eq!(report.outcomes.len(), jobs.len());
+        assert_eq!(report.stats.cache_entries, 8);
+        assert!(engine.stages.resident_keys().len() <= 3);
+        for (outcome, job) in report.outcomes.iter().zip(&jobs) {
+            let direct = compare(&job.spec, job.latency, &job.options).unwrap();
+            let got = outcome.result.as_ref().as_ref().unwrap();
+            assert_eq!(
+                serde_json::to_string(got).unwrap(),
+                serde_json::to_string(&direct).unwrap()
+            );
+        }
+        // The evicted jobs come back from their files: all hits, on this
+        // engine and on a fresh one over the same directory.
+        let again = engine.run(jobs.clone());
+        assert_eq!(again.stats.hit_rate(), 100.0);
+        let fresh = Engine::default().with_cache_dir(&dir).unwrap().run(jobs);
+        assert_eq!(fresh.stats.hit_rate(), 100.0);
+        assert_eq!(fresh.stats.stage_misses, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

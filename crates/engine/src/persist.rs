@@ -1,345 +1,64 @@
-//! On-disk spill of the content-addressed result cache: one JSON file per
-//! [`JobKey`] plus an `index.json` manifest, so repeated CLI/CI invocations
-//! reuse results across processes without re-parsing every entry up front.
+//! Eviction over a cache directory's one on-disk store,
+//! `<dir>/stages/`: every finished job and every pipeline stage is one
+//! `<key>.stage` file there ([`crate::stagecache`] writes and reads
+//! them). The filesystem is the index, so a sweep is a directory listing
+//! plus `stat`s — no body is ever parsed here.
 //!
-//! Layout: `<dir>/<32-hex-digit key>.json`, each file holding one
-//! serialized [`Comparison`]. Writes go to a hidden temp file in the same
-//! directory followed by an atomic rename, so concurrent processes never
-//! observe a half-written entry — and because keys are content hashes of
-//! the full job input, racing writers always carry identical values.
-//!
-//! `index.json` records `key → file, size, mtime` under a schema version.
-//! Opening a directory ([`DirIndex::open`]) reads the index and checks its
-//! key set against a plain directory listing: when they agree, the index's
-//! metadata is trusted and **no entry file is parsed** — entries load
-//! lazily, on first lookup. When they disagree (a stale index from a
-//! crashed or racing process), or the index is corrupt or from another
-//! schema, it is rebuilt from the directory contents and rewritten. The
-//! index is therefore an optimization and a metadata store, never a
-//! correctness dependency.
-//!
-//! Only successful comparisons are persisted. Pipeline errors (infeasible
-//! latencies, mostly) are cheap to rediscover and their textual form is
-//! not stable enough to be worth a schema.
+//! Files at the top level of the directory — the JSON job files and
+//! manifest of older builds — are outside the store: no sweep lists,
+//! counts or deletes them.
 
 use crate::key::JobKey;
-use bittrans_core::{Comparison, Implementation};
-use bittrans_rtl::AreaReport;
-use serde_json::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
-/// The manifest file name inside a cache directory.
-pub(crate) const INDEX_FILE: &str = "index.json";
+/// The store subdirectory of a cache directory.
+pub(crate) const STAGE_SUBDIR: &str = "stages";
 
-/// Version of the `index.json` layout; any other value forces a rebuild.
-pub(crate) const INDEX_SCHEMA: u64 = 1;
-
-/// The file a key persists to.
-pub(crate) fn entry_path(dir: &Path, key: JobKey) -> PathBuf {
-    dir.join(format!("{key}.json"))
-}
-
-/// Writes one comparison under its key, atomically (temp file + rename).
-pub(crate) fn save(dir: &Path, key: JobKey, comparison: &Comparison) -> io::Result<()> {
-    let json = serde_json::to_string(comparison)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    // The temp name carries pid + a process-wide counter: two threads (or
-    // two engines sharing one directory in one process) spilling the same
-    // key must never interleave writes into one temp file.
-    static SPILL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let serial = SPILL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = dir.join(format!(".{key}.{}-{serial}.tmp", std::process::id()));
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, entry_path(dir, key))
-}
-
-/// Parses one entry file's comparison. `None` for unreadable or corrupt
-/// files — a damaged entry costs one recomputation, not the run.
-pub(crate) fn load_entry(dir: &Path, key: JobKey) -> Option<Comparison> {
-    let text = std::fs::read_to_string(entry_path(dir, key)).ok()?;
-    parse_comparison(&text)
-}
-
-fn parse_comparison(text: &str) -> Option<Comparison> {
-    let value = serde_json::from_str(text).ok()?;
-    Some(Comparison {
-        original: parse_implementation(value.get("original")?)?,
-        optimized: parse_implementation(value.get("optimized")?)?,
-    })
-}
-
-fn parse_implementation(value: &Value) -> Option<Implementation> {
-    let area = value.get("area")?;
-    Some(Implementation {
-        name: value.get("name")?.as_str()?.to_string(),
-        latency: u32::try_from(value.get("latency")?.as_u64()?).ok()?,
-        cycle_delta: u32::try_from(value.get("cycle_delta")?.as_u64()?).ok()?,
-        cycle_ns: value.get("cycle_ns")?.as_f64()?,
-        execution_ns: value.get("execution_ns")?.as_f64()?,
-        area: AreaReport {
-            fu: area.get("fu")?.as_f64()?,
-            registers: area.get("registers")?.as_f64()?,
-            routing: area.get("routing")?.as_f64()?,
-            controller: area.get("controller")?.as_f64()?,
-        },
-        op_count: usize::try_from(value.get("op_count")?.as_u64()?).ok()?,
-        stored_bits: u32::try_from(value.get("stored_bits")?.as_u64()?).ok()?,
-    })
-}
-
-/// Size and age of one persisted entry, as recorded in the index.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct EntryMeta {
-    /// File size in bytes.
-    pub bytes: u64,
-    /// Modification time, seconds since the Unix epoch (0 if unknown).
-    pub mtime: u64,
-}
-
-/// The in-memory view of a cache directory's `index.json`: which keys are
-/// resident on disk and how big/old their files are, without having parsed
-/// any entry body.
-#[derive(Debug)]
-pub(crate) struct DirIndex {
-    dir: PathBuf,
-    entries: HashMap<JobKey, EntryMeta>,
-    dirty: bool,
-}
-
-impl DirIndex {
-    /// Opens (or rebuilds) the index of `dir`. The directory must exist.
-    pub fn open(dir: &Path) -> io::Result<Self> {
-        let on_disk = scan_keys(dir)?;
-        if let Some(entries) = read_index(dir) {
-            let indexed: HashSet<JobKey> = entries.keys().copied().collect();
-            if indexed == on_disk {
-                return Ok(DirIndex { dir: dir.to_path_buf(), entries, dirty: false });
-            }
-        }
-        // Stale, corrupt or absent index: rebuild from directory contents.
-        let mut entries = HashMap::with_capacity(on_disk.len());
-        for key in on_disk {
-            entries.insert(key, stat_entry(dir, key));
-        }
-        let mut index = DirIndex { dir: dir.to_path_buf(), entries, dirty: true };
-        // Persist the rebuild now (best effort), but never create an index
-        // in a directory that holds no entries — an engine with caching
-        // disabled, or a mere scan, must not leave droppings behind.
-        if !index.entries.is_empty() {
-            index.write_if_dirty();
-        }
-        Ok(index)
-    }
-
-    /// Number of entries on disk.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether `key` has a persisted entry.
-    pub fn contains(&self, key: &JobKey) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// The resident keys, in no particular order.
-    pub fn keys(&self) -> impl Iterator<Item = JobKey> + '_ {
-        self.entries.keys().copied()
-    }
-
-    /// Entries with their metadata, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (JobKey, EntryMeta)> + '_ {
-        self.entries.iter().map(|(&k, &m)| (k, m))
-    }
-
-    /// Parses `key`'s entry file. `None` means the file is missing or
-    /// corrupt; the caller should [`DirIndex::forget`] it.
-    pub fn load(&self, key: JobKey) -> Option<Comparison> {
-        if !self.contains(&key) {
-            return None;
-        }
-        load_entry(&self.dir, key)
-    }
-
-    /// Writes one comparison under its key (atomic temp file + rename) and
-    /// records it in the index.
-    pub fn save(&mut self, key: JobKey, comparison: &Comparison) -> io::Result<()> {
-        save(&self.dir, key, comparison)?;
-        self.note_saved(key);
-        Ok(())
-    }
-
-    /// Records that `key` was just spilled to its entry file.
-    pub fn note_saved(&mut self, key: JobKey) {
-        let meta = stat_entry(&self.dir, key);
-        self.entries.insert(key, meta);
-        self.dirty = true;
-    }
-
-    /// Drops `key` from the index without touching its file (used when the
-    /// entry turned out to be corrupt and will be rewritten by a respill).
-    pub fn forget(&mut self, key: JobKey) {
-        if self.entries.remove(&key).is_some() {
-            self.dirty = true;
-        }
-    }
-
-    /// Deletes `key`'s entry file and index record, returning the bytes
-    /// freed. A file already gone still clears the record.
-    pub fn remove_entry(&mut self, key: JobKey) -> io::Result<u64> {
-        let freed = self.entries.get(&key).map_or(0, |m| m.bytes);
-        match std::fs::remove_file(entry_path(&self.dir, key)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        self.forget(key);
-        Ok(freed)
-    }
-
-    /// Rewrites `index.json` if anything changed since the last write.
-    /// Best effort: a failed write costs a rebuild in some later process.
-    pub fn write_if_dirty(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        if self.write().is_ok() {
-            self.dirty = false;
-        }
-    }
-
-    fn write(&self) -> io::Result<()> {
-        let mut rows: Vec<(JobKey, EntryMeta)> = self.iter().collect();
-        rows.sort_by_key(|&(key, _)| key);
-        let mut json = format!("{{\"schema\": {INDEX_SCHEMA}, \"entries\": [");
-        for (i, (key, meta)) in rows.iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&format!(
-                "{{\"key\": \"{key}\", \"file\": \"{key}.json\", \
-                 \"bytes\": {}, \"mtime\": {}}}",
-                meta.bytes, meta.mtime
-            ));
-        }
-        json.push_str("]}");
-        let tmp = self.dir.join(format!(".index.{}.tmp", std::process::id()));
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, self.dir.join(INDEX_FILE))
-    }
-}
-
-/// Lists the keys that have an entry file in `dir` — by file name only,
-/// without opening anything. Files that are not cache entries (wrong name
-/// shape, subdirectories, the index itself) are ignored.
-fn scan_keys(dir: &Path) -> io::Result<HashSet<JobKey>> {
-    let mut keys = HashSet::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() || path.extension().is_none_or(|ext| ext != "json") {
-            continue;
-        }
-        if let Some(key) = path.file_stem().and_then(|s| s.to_str()).and_then(JobKey::from_hex) {
-            keys.insert(key);
-        }
-    }
-    Ok(keys)
-}
-
-fn stat_entry(dir: &Path, key: JobKey) -> EntryMeta {
-    let meta = std::fs::metadata(entry_path(dir, key)).ok();
-    EntryMeta {
-        bytes: meta.as_ref().map_or(0, std::fs::Metadata::len),
-        mtime: meta
-            .and_then(|m| m.modified().ok())
-            .and_then(|t| t.duration_since(SystemTime::UNIX_EPOCH).ok())
-            .map_or(0, |d| d.as_secs()),
-    }
-}
-
-/// Parses `index.json`. `None` for a missing, corrupt or wrong-schema
-/// index (the caller rebuilds).
-fn read_index(dir: &Path) -> Option<HashMap<JobKey, EntryMeta>> {
-    let text = std::fs::read_to_string(dir.join(INDEX_FILE)).ok()?;
-    let value = serde_json::from_str(&text).ok()?;
-    if value.get("schema")?.as_u64()? != INDEX_SCHEMA {
-        return None;
-    }
-    let mut entries = HashMap::new();
-    for row in value.get("entries")?.as_array()? {
-        let key = JobKey::from_hex(row.get("key")?.as_str()?)?;
-        let meta =
-            EntryMeta { bytes: row.get("bytes")?.as_u64()?, mtime: row.get("mtime")?.as_u64()? };
-        entries.insert(key, meta);
-    }
-    Some(entries)
-}
-
-/// What [`crate::Engine::prune_cache`] may evict: entries above a total
+/// What [`crate::Engine::prune_cache`] may evict: files above a total
 /// size budget and/or older than an age bound. Unset limits prune nothing,
 /// so the default policy is a no-op.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PrunePolicy {
-    /// Keep total entry bytes at or under this budget, evicting the oldest
-    /// entries first.
+    /// Keep total file bytes at or under this budget, evicting the oldest
+    /// files first.
     pub max_bytes: Option<u64>,
-    /// Evict entries whose file is older than this.
+    /// Evict files older than this.
     pub max_age: Option<Duration>,
 }
 
-/// What an eviction sweep did. The `scanned`/`removed`/`kept` family
-/// counts top-level job entries only; the `stage_*` family counts files
-/// in the `stages/` artifact tier, which the same sweep walks under the
-/// same policy (one combined `max_bytes` budget across both tiers).
+/// What an eviction sweep did, counted in files of the `stages/` store
+/// (finished jobs and stage artifacts alike).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PruneReport {
-    /// Entries in the directory before the sweep.
+    /// Files in the store before the sweep.
     pub scanned: usize,
-    /// Entries deleted.
+    /// Files deleted.
     pub removed: usize,
-    /// Bytes those entries occupied.
+    /// Bytes those files occupied.
     pub freed_bytes: u64,
-    /// Entries left after the sweep.
+    /// Files left after the sweep.
     pub kept: usize,
-    /// Bytes the remaining entries occupy.
+    /// Bytes the remaining files occupy.
     pub kept_bytes: u64,
-    /// Entries that were over budget but skipped because a live run pinned
-    /// them.
+    /// Files that were over budget but skipped because they are resident
+    /// in a live engine's memo.
     pub pinned: usize,
-    /// Stage artifact files in `stages/` before the sweep.
-    pub stage_scanned: usize,
-    /// Stage files deleted.
-    pub stage_removed: usize,
-    /// Bytes those stage files occupied.
-    pub stage_freed_bytes: u64,
-    /// Stage files left after the sweep.
-    pub stage_kept: usize,
-    /// Bytes the remaining stage files occupy.
-    pub stage_kept_bytes: u64,
-    /// Stage files that were over budget but skipped because they are
-    /// resident in a live engine's stage memo.
-    pub stage_pinned: usize,
 }
 
 impl serde::Serialize for PruneReport {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("PruneReport", 12)?;
+        let mut st = serializer.serialize_struct("PruneReport", 6)?;
         st.serialize_field("scanned", &self.scanned)?;
         st.serialize_field("removed", &self.removed)?;
         st.serialize_field("freed_bytes", &self.freed_bytes)?;
         st.serialize_field("kept", &self.kept)?;
         st.serialize_field("kept_bytes", &self.kept_bytes)?;
         st.serialize_field("pinned", &self.pinned)?;
-        st.serialize_field("stage_scanned", &self.stage_scanned)?;
-        st.serialize_field("stage_removed", &self.stage_removed)?;
-        st.serialize_field("stage_freed_bytes", &self.stage_freed_bytes)?;
-        st.serialize_field("stage_kept", &self.stage_kept)?;
-        st.serialize_field("stage_kept_bytes", &self.stage_kept_bytes)?;
-        st.serialize_field("stage_pinned", &self.stage_pinned)?;
         st.end()
     }
 }
@@ -354,25 +73,12 @@ impl fmt::Display for PruneReport {
         if self.pinned > 0 {
             write!(f, ", {} pinned by the live run", self.pinned)?;
         }
-        write!(
-            f,
-            "; stages: pruned {} of {} ({} bytes freed), {} kept ({} bytes)",
-            self.stage_removed,
-            self.stage_scanned,
-            self.stage_freed_bytes,
-            self.stage_kept,
-            self.stage_kept_bytes
-        )?;
-        if self.stage_pinned > 0 {
-            write!(f, ", {} pinned by the stage memo", self.stage_pinned)?;
-        }
         Ok(())
     }
 }
 
-/// One stage artifact file found under `<dir>/stages/`, as seen by the
-/// prune walk (names only; bodies are never parsed here).
-struct StageRow {
+/// One file found in the store, as seen by the prune walk.
+struct Row {
     path: PathBuf,
     /// The key parsed from the file stem; `None` for foreign files, which
     /// can never be pinned and age out like anything else.
@@ -381,14 +87,13 @@ struct StageRow {
     mtime: u64,
 }
 
-/// Lists the stage artifact files of `dir`'s `stages/` subdirectory:
-/// every regular, non-hidden file — current `<key>.stage` artifacts and
-/// legacy `<key>.json` verify tokens alike — so stale generations age
-/// out instead of accreting. Hidden (dot-prefixed) names are in-flight
-/// spill temp files and stay untouched.
-fn scan_stage_rows(dir: &Path) -> Vec<StageRow> {
-    let stage_dir = dir.join(STAGE_SUBDIR);
-    let Ok(entries) = std::fs::read_dir(&stage_dir) else { return Vec::new() };
+/// Lists the files of the store directory `dir`, oldest first: every
+/// regular, non-hidden file — current `<key>.stage` files and legacy
+/// `<key>.json` verify tokens alike — so stale generations age out
+/// instead of accreting. Hidden (dot-prefixed) names are in-flight spill
+/// temp files and stay untouched. A missing directory is an empty store.
+fn scan(dir: &Path) -> Vec<Row> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
     let mut rows = Vec::new();
     for entry in entries.flatten() {
         let path = entry.path();
@@ -397,7 +102,7 @@ fn scan_stage_rows(dir: &Path) -> Vec<StageRow> {
             continue;
         }
         let meta = std::fs::metadata(&path).ok();
-        rows.push(StageRow {
+        rows.push(Row {
             key: path.file_stem().and_then(|s| s.to_str()).and_then(JobKey::from_hex),
             bytes: meta.as_ref().map_or(0, std::fs::Metadata::len),
             mtime: meta
@@ -413,156 +118,72 @@ fn scan_stage_rows(dir: &Path) -> Vec<StageRow> {
     rows
 }
 
-/// The stage artifact subdirectory of a cache directory.
-pub(crate) const STAGE_SUBDIR: &str = "stages";
-
-/// Runs one eviction sweep over `index` *and* its `stages/` artifact
-/// tier: first drops files older than `max_age`, then evicts
-/// oldest-first — across both tiers combined — until the remainder fits
-/// in `max_bytes`. Job entries in `pinned` and stage files whose key is
-/// in `pinned_stages` are never touched — they belong to a live run. The
-/// index file is rewritten afterwards (stage files carry no manifest;
-/// the filesystem is their index).
+/// Runs one eviction sweep over the store directory `dir`: first drops
+/// files older than `max_age`, then evicts oldest-first until the
+/// remainder fits in `max_bytes`. Files whose key is in `pinned` are
+/// never touched — they belong to a live run.
 pub(crate) fn prune(
-    index: &mut DirIndex,
+    dir: &Path,
     policy: &PrunePolicy,
     pinned: &HashSet<JobKey>,
-    pinned_stages: &HashSet<JobKey>,
     now_secs: u64,
 ) -> io::Result<PruneReport> {
-    let mut rows: Vec<(JobKey, EntryMeta)> = index.iter().collect();
-    // Oldest first; key order breaks mtime ties so sweeps are deterministic.
-    rows.sort_by_key(|&(key, meta)| (meta.mtime, key));
-    let scanned = rows.len();
-    let stage_rows = scan_stage_rows(&index.dir);
-    let stage_scanned = stage_rows.len();
-    let stage_pinned_row = |row: &StageRow| row.key.is_some_and(|key| pinned_stages.contains(&key));
-
-    let mut evict: Vec<JobKey> = Vec::new();
-    let mut stage_evict: Vec<usize> = Vec::new();
-    let mut pinned_over_budget: HashSet<JobKey> = HashSet::new();
-    let mut stage_pinned_over_budget: usize = 0;
+    let rows = scan(dir);
+    let is_pinned = |row: &Row| row.key.is_some_and(|key| pinned.contains(&key));
+    let mut evict = vec![false; rows.len()];
+    let mut held = vec![false; rows.len()];
     if let Some(max_age) = policy.max_age {
-        for &(key, meta) in &rows {
-            if now_secs.saturating_sub(meta.mtime) > max_age.as_secs() {
-                if pinned.contains(&key) {
-                    pinned_over_budget.insert(key);
-                } else {
-                    evict.push(key);
-                }
-            }
-        }
-        for (i, row) in stage_rows.iter().enumerate() {
+        for (i, row) in rows.iter().enumerate() {
             if now_secs.saturating_sub(row.mtime) > max_age.as_secs() {
-                if stage_pinned_row(row) {
-                    stage_pinned_over_budget += 1;
+                if is_pinned(row) {
+                    held[i] = true;
                 } else {
-                    stage_evict.push(i);
+                    evict[i] = true;
                 }
             }
         }
     }
     if let Some(max_bytes) = policy.max_bytes {
-        let evicted: HashSet<JobKey> = evict.iter().copied().collect();
-        let stage_evicted: HashSet<usize> = stage_evict.iter().copied().collect();
         let mut total: u64 =
-            rows.iter().filter(|(k, _)| !evicted.contains(k)).map(|(_, m)| m.bytes).sum();
-        total += stage_rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !stage_evicted.contains(i))
-            .map(|(_, r)| r.bytes)
-            .sum::<u64>();
-        // One oldest-first walk across both tiers: merge the two sorted
-        // row lists by (mtime, tier, tiebreak).
-        let mut merged: Vec<(u64, bool, usize)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, (_, meta))| (meta.mtime, false, i))
-            .chain(stage_rows.iter().enumerate().map(|(i, row)| (row.mtime, true, i)))
-            .collect();
-        merged.sort_by_key(|&(mtime, is_stage, i)| (mtime, is_stage, i));
-        for (_, is_stage, i) in merged {
+            rows.iter().zip(&evict).filter(|(_, &e)| !e).map(|(r, _)| r.bytes).sum();
+        for (i, row) in rows.iter().enumerate() {
             if total <= max_bytes {
                 break;
             }
-            if is_stage {
-                if stage_evicted.contains(&i) {
-                    continue;
-                }
-                let row = &stage_rows[i];
-                if stage_pinned_row(row) {
-                    stage_pinned_over_budget += 1;
-                    continue;
-                }
-                stage_evict.push(i);
-                total -= row.bytes;
-            } else {
-                let (key, meta) = rows[i];
-                if evicted.contains(&key) {
-                    continue;
-                }
-                if pinned.contains(&key) {
-                    pinned_over_budget.insert(key);
-                    continue;
-                }
-                evict.push(key);
-                total -= meta.bytes;
+            if evict[i] {
+                continue;
             }
+            if is_pinned(row) {
+                held[i] = true;
+                continue;
+            }
+            evict[i] = true;
+            total -= row.bytes;
         }
     }
 
     let mut freed_bytes = 0;
-    for &key in &evict {
-        freed_bytes += index.remove_entry(key)?;
-    }
-    let mut stage_freed_bytes = 0;
-    for &i in &stage_evict {
-        let row = &stage_rows[i];
+    for (row, _) in rows.iter().zip(&evict).filter(|(_, &e)| e) {
         match std::fs::remove_file(&row.path) {
-            Ok(()) => stage_freed_bytes += row.bytes,
+            Ok(()) => freed_bytes += row.bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
     }
-    index.write_if_dirty();
-    let stage_kept = stage_scanned - stage_evict.len();
-    let stage_kept_bytes = stage_rows
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !stage_evict.contains(i))
-        .map(|(_, r)| r.bytes)
-        .sum();
+    let removed = evict.iter().filter(|&&e| e).count();
     Ok(PruneReport {
-        scanned,
-        removed: evict.len(),
+        scanned: rows.len(),
+        removed,
         freed_bytes,
-        kept: index.len(),
-        kept_bytes: index.iter().map(|(_, m)| m.bytes).sum(),
-        pinned: pinned_over_budget.len(),
-        stage_scanned,
-        stage_removed: stage_evict.len(),
-        stage_freed_bytes,
-        stage_kept,
-        stage_kept_bytes,
-        stage_pinned: stage_pinned_over_budget,
+        kept: rows.len() - removed,
+        kept_bytes: rows.iter().zip(&evict).filter(|(_, &e)| !e).map(|(r, _)| r.bytes).sum(),
+        pinned: held.iter().filter(|&&h| h).count(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bittrans_core::{compare, CompareOptions};
-    use bittrans_ir::Spec;
-
-    fn comparison() -> Comparison {
-        let spec = Spec::parse(
-            "spec ex { input A: u16; input B: u16; input D: u16; input F: u16;
-              C: u16 = A + B; E: u16 = C + D; G: u16 = E + F; output G; }",
-        )
-        .unwrap();
-        compare(&spec, 3, &CompareOptions { verify_vectors: 0, ..Default::default() }).unwrap()
-    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -572,210 +193,94 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn save_then_load_roundtrips_exactly() {
-        let dir = temp_dir("roundtrip");
-        let cmp = comparison();
-        let key = JobKey::of_bytes(b"entry");
-        save(&dir, key, &cmp).unwrap();
-        let back = load_entry(&dir, key).expect("entry loads");
-        assert_eq!(back.original.name, cmp.original.name);
-        assert_eq!(back.optimized.cycle_ns.to_bits(), cmp.optimized.cycle_ns.to_bits());
-        assert_eq!(back.original.cycle_ns.to_bits(), cmp.original.cycle_ns.to_bits());
-        assert_eq!(back.optimized.area.total(), cmp.optimized.area.total());
-        assert_eq!(back.optimized.stored_bits, cmp.optimized.stored_bits);
-        // No temp file left behind.
-        let names: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec![format!("{key}.json")]);
-    }
-
-    #[test]
-    fn uppercase_stems_are_not_indexed() {
-        // `Display` writes lowercase stems only. A file named with
-        // uppercase hex can never be the target of `entry_path`, so
-        // indexing it would create a phantom entry that fails every
-        // lookup; the scan must skip it entirely.
-        let dir = temp_dir("case");
-        let cmp = comparison();
-        let key = JobKey::of_bytes(b"lower");
-        save(&dir, key, &cmp).unwrap();
-        let upper = dir.join(format!("{key}.json").to_uppercase());
-        std::fs::write(&upper, std::fs::read(entry_path(&dir, key)).unwrap()).unwrap();
-        let index = DirIndex::open(&dir).unwrap();
-        assert_eq!(index.len(), 1);
-        assert!(index.contains(&key));
-        assert!(index.load(key).is_some());
-    }
-
-    #[test]
-    fn corrupt_and_foreign_files_are_invisible() {
-        let dir = temp_dir("corrupt");
-        let cmp = comparison();
-        let good = JobKey::of_bytes(b"good");
-        save(&dir, good, &cmp).unwrap();
-        let bad = JobKey::of_bytes(b"bad");
-        std::fs::write(entry_path(&dir, bad), "{ not json").unwrap();
-        std::fs::write(dir.join("README.json"), "{}").unwrap();
-        std::fs::write(dir.join("notes.txt"), "hello").unwrap();
-        // The index lists both hex-named files (it never parses bodies)...
-        let index = DirIndex::open(&dir).unwrap();
-        assert_eq!(index.len(), 2);
-        // ...but only the good one loads.
-        assert!(index.load(good).is_some());
-        assert!(index.load(bad).is_none());
-        assert!(index.load(JobKey::of_bytes(b"absent")).is_none());
-    }
-
-    #[test]
-    fn index_survives_reopen_and_tracks_membership() {
-        let dir = temp_dir("index");
-        let cmp = comparison();
-        let (a, b) = (JobKey::of_bytes(b"a"), JobKey::of_bytes(b"b"));
-        save(&dir, a, &cmp).unwrap();
-        let mut index = DirIndex::open(&dir).unwrap();
-        assert!(index.contains(&a) && index.len() == 1);
-        save(&dir, b, &cmp).unwrap();
-        index.note_saved(b);
-        index.write_if_dirty();
-        // A fresh open trusts the written index (sets agree).
-        let reopened = DirIndex::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 2);
-        assert!(reopened.contains(&b));
-        let (_, meta) = reopened.iter().find(|(k, _)| *k == b).unwrap();
-        assert!(meta.bytes > 0);
-    }
-
-    #[test]
-    fn stale_and_corrupt_indexes_are_rebuilt() {
-        let dir = temp_dir("stale");
-        let cmp = comparison();
-        let key = JobKey::of_bytes(b"k");
-        save(&dir, key, &cmp).unwrap();
-        // Corrupt: garbage index.
-        std::fs::write(dir.join(INDEX_FILE), "not json at all").unwrap();
-        let index = DirIndex::open(&dir).unwrap();
-        assert_eq!(index.len(), 1);
-        // The rebuild rewrote a valid index.
-        assert!(read_index(&dir).is_some());
-        // Stale: an entry appears behind the index's back.
-        let other = JobKey::of_bytes(b"other");
-        save(&dir, other, &cmp).unwrap();
-        let index = DirIndex::open(&dir).unwrap();
-        assert_eq!(index.len(), 2);
-        // Wrong schema forces a rebuild too.
-        std::fs::write(dir.join(INDEX_FILE), "{\"schema\": 999, \"entries\": []}").unwrap();
-        let index = DirIndex::open(&dir).unwrap();
-        assert_eq!(index.len(), 2);
-    }
-
-    #[test]
-    fn prune_evicts_oldest_first_and_respects_pins() {
-        let dir = temp_dir("prune");
-        let cmp = comparison();
-        let keys: Vec<JobKey> = (0u8..4).map(|i| JobKey::of_bytes(&[b'p', i])).collect();
-        for &key in &keys {
-            save(&dir, key, &cmp).unwrap();
-        }
-        let mut index = DirIndex::open(&dir).unwrap();
-        let entry_bytes = index.iter().next().unwrap().1.bytes;
-        // Craft deterministic ages: keys[0] oldest … keys[3] newest.
-        for (age, &key) in [400u64, 300, 200, 100].iter().zip(&keys) {
-            index.entries.get_mut(&key).unwrap().mtime = 1000 - age;
-        }
-        // Age bound removes the two entries older than 250 s; the oldest
-        // of them is pinned and must survive.
-        let pinned: HashSet<JobKey> = [keys[0]].into_iter().collect();
-        let policy = PrunePolicy { max_age: Some(Duration::from_secs(250)), max_bytes: None };
-        let report = prune(&mut index, &policy, &pinned, &HashSet::new(), 1000).unwrap();
-        assert_eq!(report.scanned, 4);
-        assert_eq!(report.removed, 1);
-        assert_eq!(report.pinned, 1);
-        assert_eq!(report.freed_bytes, entry_bytes);
-        assert!(!index.contains(&keys[1]) && index.contains(&keys[0]));
-        assert!(!entry_path(&dir, keys[1]).exists());
-        // Size bound: budget for one entry evicts oldest-first among the
-        // unpinned (keys[2] before keys[3]).
-        let policy = PrunePolicy { max_bytes: Some(2 * entry_bytes), max_age: None };
-        let report = prune(&mut index, &policy, &pinned, &HashSet::new(), 1000).unwrap();
-        assert_eq!(report.removed, 1);
-        assert!(!index.contains(&keys[2]) && index.contains(&keys[3]));
-        assert_eq!(report.kept, 2);
-        assert_eq!(report.kept_bytes, 2 * entry_bytes);
-        // The rewritten index agrees with the directory.
-        let reopened = DirIndex::open(&dir).unwrap();
-        let on_disk: HashSet<JobKey> = reopened.keys().collect();
-        let expected: HashSet<JobKey> = [keys[0], keys[3]].into_iter().collect();
-        assert_eq!(on_disk, expected);
-    }
-
     fn set_mtime(path: &Path, secs: u64) {
         let file = std::fs::File::options().write(true).open(path).unwrap();
         let time = SystemTime::UNIX_EPOCH + Duration::from_secs(secs);
         file.set_times(std::fs::FileTimes::new().set_modified(time)).unwrap();
     }
 
+    /// Writes `<key>.stage` with a fixed-size body and the given mtime.
+    fn write_file(dir: &Path, key: JobKey, mtime: u64) -> PathBuf {
+        let path = dir.join(format!("{key}.stage"));
+        std::fs::write(&path, "bittrans-stage 2 job ok\n").unwrap();
+        set_mtime(&path, mtime);
+        path
+    }
+
     #[test]
-    fn prune_sweeps_the_stage_tier_with_the_same_policy() {
-        let dir = temp_dir("stage_prune");
-        let cmp = comparison();
-        let job = JobKey::of_bytes(b"job");
-        save(&dir, job, &cmp).unwrap();
-        let stage_dir = dir.join(STAGE_SUBDIR);
-        std::fs::create_dir_all(&stage_dir).unwrap();
+    fn prune_evicts_oldest_first_and_respects_pins() {
+        let dir = temp_dir("prune");
+        let keys: Vec<JobKey> = (0u8..4).map(|i| JobKey::of_bytes(&[b'p', i])).collect();
+        // keys[0] oldest … keys[3] newest.
+        let paths: Vec<PathBuf> = [600u64, 700, 800, 900]
+            .iter()
+            .zip(&keys)
+            .map(|(&mtime, &key)| write_file(&dir, key, mtime))
+            .collect();
+        let bytes = std::fs::metadata(&paths[0]).unwrap().len();
+        // Age bound removes the two files older than 250 s; the oldest
+        // of them is pinned and must survive.
+        let pinned: HashSet<JobKey> = [keys[0]].into_iter().collect();
+        let policy = PrunePolicy { max_age: Some(Duration::from_secs(250)), max_bytes: None };
+        let report = prune(&dir, &policy, &pinned, 1000).unwrap();
+        assert_eq!(report.scanned, 4);
+        assert_eq!(report.removed, 1);
+        assert_eq!(report.pinned, 1);
+        assert_eq!(report.freed_bytes, bytes);
+        assert!(paths[0].exists() && !paths[1].exists());
+        // Size bound: budget for two files evicts oldest-first among the
+        // unpinned (keys[2] before keys[3]); the pinned file counts once.
+        let policy = PrunePolicy { max_bytes: Some(2 * bytes), max_age: None };
+        let report = prune(&dir, &policy, &pinned, 1000).unwrap();
+        assert_eq!(report.removed, 1);
+        assert_eq!(report.pinned, 1);
+        assert!(!paths[2].exists() && paths[3].exists());
+        assert_eq!(report.kept, 2);
+        assert_eq!(report.kept_bytes, 2 * bytes);
+    }
+
+    #[test]
+    fn prune_ages_out_legacy_tokens_and_skips_temp_files() {
+        let dir = temp_dir("legacy");
         let (old_key, new_key) = (JobKey::of_bytes(b"old"), JobKey::of_bytes(b"new"));
-        let old_stage = stage_dir.join(format!("{old_key}.stage"));
-        let new_stage = stage_dir.join(format!("{new_key}.stage"));
-        let legacy = stage_dir.join(format!("{}.json", JobKey::of_bytes(b"legacy")));
-        let temp = stage_dir.join(".deadbeef.tmp");
-        for path in [&old_stage, &new_stage, &legacy, &temp] {
-            std::fs::write(path, "bittrans-stage 2 verify ok\n").unwrap();
+        let old = write_file(&dir, old_key, 100);
+        let new = write_file(&dir, new_key, 900);
+        let legacy = dir.join(format!("{}.json", JobKey::of_bytes(b"legacy")));
+        let temp = dir.join(".deadbeef.tmp");
+        for path in [&legacy, &temp] {
+            std::fs::write(path, "{}").unwrap();
         }
-        set_mtime(&old_stage, 100);
         set_mtime(&legacy, 150);
-        set_mtime(&new_stage, 900);
 
         // Age pass: the old artifact and the legacy token age out; the
-        // fresh artifact, the job entry, and the dot temp file survive.
-        let mut index = DirIndex::open(&dir).unwrap();
+        // fresh artifact and the dot temp file survive.
         let policy = PrunePolicy { max_age: Some(Duration::from_secs(500)), max_bytes: None };
-        let report = prune(&mut index, &policy, &HashSet::new(), &HashSet::new(), 1000).unwrap();
-        assert_eq!(report.removed, 0);
-        assert_eq!(report.stage_scanned, 3, "temp files are not scanned");
-        assert_eq!(report.stage_removed, 2);
-        assert_eq!(report.stage_kept, 1);
-        assert!(report.stage_freed_bytes > 0);
-        assert!(!old_stage.exists() && !legacy.exists());
-        assert!(new_stage.exists() && temp.exists());
+        let report = prune(&dir, &policy, &HashSet::new(), 1000).unwrap();
+        assert_eq!(report.scanned, 3, "temp files are not scanned");
+        assert_eq!(report.removed, 2);
+        assert_eq!(report.kept, 1);
+        assert!(report.freed_bytes > 0);
+        assert!(!old.exists() && !legacy.exists());
+        assert!(new.exists() && temp.exists());
 
-        // Size pass with a zero budget: a resident (pinned) stage key
-        // survives; the job entry — older than the pinned stage — goes.
-        set_mtime(&entry_path(&dir, job), 200);
-        let mut index = DirIndex::open(&dir).unwrap();
-        index.entries.get_mut(&job).unwrap().mtime = 200;
-        let pinned_stages: HashSet<JobKey> = [new_key].into_iter().collect();
+        // A zero budget cannot touch a pinned file.
+        let pinned: HashSet<JobKey> = [new_key].into_iter().collect();
         let policy = PrunePolicy { max_bytes: Some(0), max_age: None };
-        let report = prune(&mut index, &policy, &HashSet::new(), &pinned_stages, 1000).unwrap();
-        assert_eq!(report.removed, 1, "job entry evicted by the combined budget");
-        assert_eq!(report.stage_removed, 0);
-        assert_eq!(report.stage_pinned, 1, "resident stage file is pinned");
-        assert!(new_stage.exists());
+        let report = prune(&dir, &policy, &pinned, 1000).unwrap();
+        assert_eq!((report.removed, report.pinned, report.kept), (0, 1, 1));
+        assert!(new.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn default_policy_is_a_no_op() {
+    fn default_policy_is_a_no_op_and_a_missing_store_is_empty() {
         let dir = temp_dir("noop");
-        let key = JobKey::of_bytes(b"keep");
-        save(&dir, key, &comparison()).unwrap();
-        let mut index = DirIndex::open(&dir).unwrap();
+        let path = write_file(&dir, JobKey::of_bytes(b"keep"), 1);
+        let report = prune(&dir, &PrunePolicy::default(), &HashSet::new(), 1_000_000).unwrap();
+        assert_eq!((report.removed, report.kept), (0, 1));
+        assert!(path.exists());
         let report =
-            prune(&mut index, &PrunePolicy::default(), &HashSet::new(), &HashSet::new(), 1_000_000)
-                .unwrap();
-        assert_eq!(report.removed, 0);
-        assert_eq!(report.kept, 1);
-        assert!(entry_path(&dir, key).exists());
+            prune(&dir.join("absent"), &PrunePolicy::default(), &HashSet::new(), 0).unwrap();
+        assert_eq!(report.scanned, 0);
     }
 }

@@ -221,11 +221,12 @@ pub fn strip_elapsed_ms(json: &str) -> String {
 /// output in hand (CLI stdout, CI smoke diffs, raw response lines).
 ///
 /// `cache_entries` joined the list after differential fuzzing (replay
-/// seed 32 of `fuzz --seed 31`) showed it counts the *whole store* —
-/// when several studies share one result directory, two otherwise
-/// identical runs of the same grid report different resident-entry
-/// totals even though every cell and every hit/miss count agrees. The
-/// store's population is a deployment fact, not a result.
+/// seed 32 of `fuzz --seed 31`) showed it counted the *whole store* —
+/// when several studies shared one result directory, two otherwise
+/// identical runs of the same grid reported different totals even
+/// though every cell and every hit/miss count agreed. It now counts the
+/// batch's distinct keys everywhere; it stays blanked because it
+/// describes the run's shape, not its results.
 pub fn normalize_run_shape(json: &str) -> String {
     ["elapsed_ms", "workers", "stage_hits", "stage_misses", "cache_entries"]
         .iter()

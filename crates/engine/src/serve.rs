@@ -1,7 +1,7 @@
 //! A long-running [`Study`] service over one warm [`Engine`]: newline-
 //! delimited JSON over TCP, so many clients share a single in-memory
-//! cache (backed by the indexed cache directory) instead of each paying a
-//! cold start.
+//! cache (backed by the cache directory) instead of each paying a cold
+//! start.
 //!
 //! # Protocol
 //!
@@ -101,7 +101,7 @@ use crate::sched::Scheduler;
 use crate::shard::{self, ShardedStudy};
 use crate::stats::{EngineStats, ServiceStats};
 use crate::study::Study;
-use crate::{trace, Engine, EngineOptions, HitTier, Job, JobResult};
+use crate::{trace, Engine, EngineOptions, Job, JobResult};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -749,19 +749,12 @@ fn run_scheduled(
                 slot_is_hit[slot] = true;
                 continue;
             }
-            if let Some(tier) = state.engine.lookup(key) {
+            if let Some((result, provenance)) = state.engine.stages.job(*key) {
                 hits += 1;
                 slot_is_hit[slot] = true;
                 trace::event("job", |a| {
-                    a.str("key", &key.to_string()).str(
-                        "provenance",
-                        match tier {
-                            HitTier::Memory => "memory",
-                            HitTier::Disk => "disk",
-                        },
-                    );
+                    a.str("key", &key.to_string()).str("provenance", provenance);
                 });
-                let result = state.engine.cache.peek(key).expect("looked-up key is resident");
                 immediate.push((*key, result));
             } else if let Some(waiters) = in_flight.get_mut(key) {
                 // Another request is computing this key right now:
@@ -816,7 +809,7 @@ fn run_scheduled(
                 });
                 // Admit before deregistering, so no classifier can fall
                 // into the gap between the two (see `in_flight`).
-                state.engine.admit(key, &result);
+                state.engine.stages.admit_job(key, &result);
                 let waiters = state.lock_in_flight().remove(&key).unwrap_or_default();
                 let _ = tx.send((slot, Arc::clone(&result)));
                 for waiter in waiters {
@@ -859,13 +852,12 @@ fn run_scheduled(
         }
     }
 
-    state.engine.flush_disk();
-    state.engine.record_lifetime(hits, misses);
+    state.engine.cache.record(hits, misses);
     let stats = EngineStats {
         jobs: total as u64,
         cache_hits: hits,
         cache_misses: misses,
-        cache_entries: total,
+        cache_entries: resolved.len(),
         workers,
         elapsed: started.elapsed(),
         stage_hits: stage_tally.hits(),

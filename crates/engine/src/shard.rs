@@ -56,7 +56,6 @@
 //! processes by construction.
 
 use crate::key::JobKey;
-use crate::persist::DirIndex;
 use crate::proto;
 use crate::report::StudyReport;
 use crate::stats::{EndpointStats, EngineStats};
@@ -564,27 +563,14 @@ pub fn run_sharded(
         a.num("shards", shards as u64).num("distinct", sorted_keys.len() as u64);
     });
 
-    std::fs::create_dir_all(cache_dir)?;
-    let before = DirIndex::open(cache_dir)?;
-    let preloaded_total = before.len();
-    // A key only counts as preloaded if its entry actually parses — a
-    // corrupt body is exactly what a single-process run would discover at
-    // lookup time and recompute as a miss, and the report (hits,
-    // from_cache flags) must not diverge from that. `stale` corrects the
-    // final entry count: the corrupt file is both in `preloaded_total`
-    // and recomputed as a miss, so it would otherwise be counted twice.
-    let mut preloaded: HashSet<JobKey> = HashSet::new();
-    let mut stale = 0usize;
-    for &key in &sorted_keys {
-        if before.contains(&key) {
-            if before.load(key).is_some() {
-                preloaded.insert(key);
-            } else {
-                stale += 1;
-            }
-        }
-    }
-    drop(before);
+    // The coordinator's engine over the shared store. A key only counts
+    // as preloaded if its job file actually decodes — a corrupt body is
+    // exactly what a single-process run would discover at lookup time
+    // and recompute as a miss, and the report (hits, from_cache flags)
+    // must not diverge from that.
+    let engine = Engine::default().with_cache_dir(cache_dir)?;
+    let preloaded: HashSet<JobKey> =
+        sorted_keys.iter().copied().filter(|&key| engine.stages.job_on_disk(key)).collect();
 
     // Dispatch the shards through the configured transport. A shard that
     // cannot be dispatched at all is treated exactly like one that
@@ -595,19 +581,12 @@ pub fn run_sharded(
     };
 
     // Re-read the shared store and detect gaps before the final batch: a
-    // key from a failed shard's range with no entry on disk is work the
-    // dead endpoint never finished.
-    let after = DirIndex::open(cache_dir)?;
-    let on_disk: HashSet<JobKey> = after.keys().collect();
-    drop(after);
-    let failed_keys: HashSet<JobKey> = failed
+    // key from a failed shard's range with no job file on disk is work
+    // the dead endpoint never finished.
+    let retried: Vec<JobKey> = failed
         .iter()
         .flat_map(|&index| sorted_keys[ranges[index].clone()].iter().copied())
-        .collect();
-    let retried: Vec<JobKey> = sorted_keys
-        .iter()
-        .filter(|key| failed_keys.contains(key) && !on_disk.contains(key))
-        .copied()
+        .filter(|&key| !engine.stages.job_on_disk(key))
         .collect();
 
     // One local batch over the distinct jobs assembles everything: keys in
@@ -619,7 +598,6 @@ pub fn run_sharded(
             a.num("keys", retried.len() as u64).num("failed_shards", failed.len() as u64);
         });
     }
-    let engine = Engine::default().with_cache_dir(cache_dir)?;
     let batch = engine.run(grid.distinct.clone());
 
     let mut merged = EngineStats::merged(shard_stats.iter().flatten());
@@ -653,7 +631,7 @@ pub fn run_sharded(
         jobs: distinct_count,
         cache_hits: hits,
         cache_misses: distinct_count - hits,
-        cache_entries: preloaded_total - stale + (distinct_count - hits) as usize,
+        cache_entries: distinct_count as usize,
         workers: merged.workers,
         elapsed: started.elapsed(),
         // Stage work happened inside the endpoints (and the
@@ -699,7 +677,7 @@ fn dispatch_local(
 /// announced. Dropping the fleet kills and reaps every child, so no path
 /// — a panic included — leaks one. Killing loses nothing once the shards
 /// are answered: a child spills each result atomically (temp file +
-/// rename) and flushes its index before it answers.
+/// rename) before it answers.
 struct LocalFleet {
     children: Vec<(Child, Option<String>)>,
 }

@@ -1,11 +1,12 @@
 //! Incremental stage-level caching: memoized pipeline stages keyed by
-//! their exact inputs.
+//! their exact inputs, and the one result store of an [`crate::Engine`].
 //!
-//! The job cache ([`crate::cache`]) works at whole-job granularity
-//! (`spec × latency × options`), so a latency sweep over one spec
-//! re-runs kernel extraction at every point and a one-operation spec
-//! edit is a 100 % cold start. This module decomposes a cache-miss job
-//! into the stage functions `bittrans-core` exposes
+//! A finished job is one more entry of this store: its [`Comparison`]
+//! (or the error that stopped it) under its [`JobKey`], artifact kind
+//! `job`. Below job granularity, a latency sweep over one spec would
+//! re-run kernel extraction at every point and a one-operation spec edit
+//! would be a 100 % cold start. This module therefore decomposes a
+//! cache-miss job into the stage functions `bittrans-core` exposes
 //! ([`bittrans_core::stage_extract`] and friends) and memoizes each
 //! stage under a content key derived from *that stage's inputs alone*:
 //!
@@ -19,6 +20,7 @@
 //! sched_frag   "sched_frag", kernel text, λ, balance
 //! alloc_*      producing-schedule material + adder architecture
 //! time_*       producing-allocation material + timing-model bits
+//! job          the JobKey itself (spec text × λ × options)
 //! ```
 //!
 //! Parsing/canonicalization is the degenerate zeroth stage: its
@@ -47,35 +49,43 @@
 //! on one initializer instead of computing it twice, so hit/miss counts
 //! are deterministic for a given job set. Errors are cached too —
 //! stages are pure functions of their keys, so a failure is as
-//! reproducible as a success (this mirrors the job cache, which also
-//! serves errors from memory). The memo is bounded: at most
-//! [`STAGE_MEMO_CAPACITY`] slots are resident, evicted oldest-first, so
-//! a long-lived serve process stops growing without limit (an evicted
-//! stage costs at worst one disk load or recompute later).
+//! reproducible as a success. Job slots are never blocked on: a job is
+//! read without waiting (`StageCache::job`: memory, then its disk
+//! file) and its slot is set when the finished job is admitted
+//! (`StageCache::admit_job`); concurrent requests for one uncomputed
+//! job are the caller's to coalesce. The memo is bounded: at most
+//! [`STAGE_MEMO_CAPACITY`] slots — stages and jobs together — are
+//! resident, evicted oldest-first, so a long-lived serve process stops
+//! growing without limit (an evicted entry costs at worst one disk load
+//! or recompute later).
 //!
-//! The disk tier under `<cache-dir>/stages/` persists **every** stage,
-//! as `<key>.stage` files: a one-line `bittrans-stage 2 <stage> ok`
-//! envelope followed by the artifact's canonical text (the
-//! `to_canonical` / `from_canonical` codec each artifact type carries in
-//! its home crate — `Display` remains the human-oriented, *non*-parseable
-//! dump). A fresh process over a warm directory therefore recomputes
-//! zero stages for an unchanged grid. Files are written via the same
-//! hidden-temp-file + atomic-rename idiom as the job store; a file whose
-//! envelope or body fails to decode — including one written by a *newer*
-//! schema — is deleted and recomputed, never misparsed, and the
-//! recompute's respill repairs it. The filesystem itself is the index
-//! (no manifest to rebuild); the `stages/` subdirectory is invisible to
-//! the job store's directory scan, which only considers top-level
-//! `*.json` files, and is swept by `cache prune` alongside the job
-//! entries (resident stages are pinned). Legacy schema-1 verify tokens
-//! (`<key>.json`, from builds predating the codec) are simply ignored
-//! until pruned.
+//! The disk tier under `<cache-dir>/stages/` persists **every** stage
+//! and every successful job, as `<key>.stage` files: a one-line
+//! `bittrans-stage 2 <stage> ok` envelope followed by the artifact's
+//! canonical text (the `to_canonical` / `from_canonical` codec each
+//! artifact type carries in its home crate — `Display` remains the
+//! human-oriented, *non*-parseable dump). A fresh process over a warm
+//! directory therefore answers an unchanged grid from its job files, and
+//! recomputes zero stages when only those are gone. Files are written to
+//! a hidden temp file (pid + process-wide serial) and renamed into
+//! place, so a reader never sees a torn file; a file whose envelope or
+//! body fails to decode — including one written by a *newer* schema — is
+//! deleted and recomputed, never misparsed, and the recompute's respill
+//! repairs it. The filesystem itself is the index (no manifest to
+//! rebuild), and `cache prune` sweeps it (resident entries are pinned).
+//! Legacy files — schema-1 verify tokens (`stages/<key>.json`) and the
+//! JSON job files and manifest of older builds at the top level of the
+//! cache directory — are never read; the tokens age out under pruning,
+//! the top-level files are left alone.
 //!
-//! Every resolution emits one `stage` trace event whose `provenance`
-//! (`memory` / `disk` / `computed`) reconciles exactly with the
-//! [`StageTally`] counters surfaced as `stage_hits` / `stage_misses` in
-//! [`crate::EngineStats`].
+//! Every stage resolution emits one `stage` trace event whose
+//! `provenance` (`memory` / `disk` / `computed`) reconciles exactly with
+//! the [`StageTally`] counters surfaced as `stage_hits` / `stage_misses`
+//! in [`crate::EngineStats`]. Job lookups touch neither: the engine
+//! counts them as `cache_hits` / `cache_misses` and traces them as `job`
+//! events.
 
+use crate::job::JobResult;
 use crate::key::JobKey;
 use crate::trace;
 use bittrans_core::{
@@ -85,13 +95,14 @@ use bittrans_core::{
 };
 use bittrans_ir::Spec;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default bound on resident in-memory stage slots. At roughly a few
-/// kilobytes per artifact this caps the memo in the tens of megabytes;
-/// a serve process that outgrows it falls back to the disk tier.
+/// Default bound on resident in-memory slots, stages and jobs together.
+/// At roughly a few kilobytes per artifact this caps the memo in the
+/// tens of megabytes; a serve process that outgrows it falls back to
+/// the disk tier.
 pub(crate) const STAGE_MEMO_CAPACITY: usize = 4096;
 
 /// Schema version of the `<key>.stage` disk envelope. Bumping it makes
@@ -113,6 +124,8 @@ enum StageValue {
     Datapath(Arc<Datapath>),
     /// `time_base` / `time_frag`: the measured implementation.
     Timed(Arc<Implementation>),
+    /// `job`: a finished job, shared as-is with every outcome it backs.
+    Job(Arc<JobResult>),
 }
 
 impl StageValue {
@@ -149,9 +162,16 @@ impl StageValue {
             _ => unreachable!("stage key resolved to a non-implementation artifact"),
         }
     }
+    fn into_job(self) -> Arc<JobResult> {
+        match self {
+            StageValue::Job(v) => v,
+            _ => unreachable!("job key resolved to a stage artifact"),
+        }
+    }
 
     /// The canonical text spilled as the `<key>.stage` body (empty for
-    /// `Verified`, whose artifact is the fact that it passed).
+    /// `Verified`, whose artifact is the fact that it passed, and for a
+    /// failed job, which is never spilled).
     fn to_canonical(&self) -> String {
         match self {
             StageValue::Kernel(v) => v.to_canonical(),
@@ -160,6 +180,9 @@ impl StageValue {
             StageValue::Schedule(v) => v.to_canonical(),
             StageValue::Datapath(v) => v.to_canonical(),
             StageValue::Timed(v) => v.to_canonical(),
+            StageValue::Job(v) => {
+                v.as_ref().as_ref().map_or_else(|_| String::new(), Comparison::to_canonical)
+            }
         }
     }
 }
@@ -180,6 +203,8 @@ enum StageKind {
     Datapath,
     /// Body is a canonical `Implementation`.
     Timed,
+    /// Body is a canonical `Comparison`.
+    Job,
 }
 
 impl StageKind {
@@ -203,6 +228,9 @@ impl StageKind {
             StageKind::Timed => {
                 Implementation::from_canonical(body).ok().map(|v| StageValue::Timed(Arc::new(v)))
             }
+            StageKind::Job => {
+                Comparison::from_canonical(body).ok().map(|v| StageValue::Job(Arc::new(Ok(v))))
+            }
         }
     }
 }
@@ -222,8 +250,9 @@ enum Provenance {
     Computed,
 }
 
-/// Per-batch (or per-request) stage hit/miss counters, `Arc`-shared into
-/// worker closures and folded into that batch's [`crate::EngineStats`].
+/// Hit/miss counters: per batch (or per request) for stages, `Arc`-shared
+/// into worker closures and folded into that batch's
+/// [`crate::EngineStats`]; per engine lifetime for jobs.
 #[derive(Debug, Default)]
 pub struct StageTally {
     hits: AtomicU64,
@@ -239,6 +268,12 @@ impl StageTally {
     /// Stages computed so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Adds to both counters.
+    pub(crate) fn record(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 }
 
@@ -260,6 +295,11 @@ impl Default for Memo {
 }
 
 impl Memo {
+    /// The value of `key`'s slot, if it is resident and set.
+    fn get(&self, key: &JobKey) -> Option<&Result<StageValue, PipelineError>> {
+        self.map.get(key).and_then(|slot| slot.get())
+    }
+
     fn slot(&mut self, key: JobKey) -> Slot {
         if let Some(slot) = self.map.get(&key) {
             return Arc::clone(slot);
@@ -279,10 +319,11 @@ impl Memo {
     }
 }
 
-/// The engine's stage memo: bounded in-memory `OnceLock` slots for stage
-/// artifacts, an optional disk tier persisting every stage through the
-/// canonical codec, and lifetime counters. One per [`crate::Engine`],
-/// shared by every batch and serve request run through it.
+/// The engine's result store: bounded in-memory `OnceLock` slots for
+/// stage artifacts and finished jobs, an optional disk tier persisting
+/// them through the canonical codec, and lifetime stage counters. One
+/// per [`crate::Engine`], shared by every batch and serve request run
+/// through it.
 #[derive(Debug, Default)]
 pub struct StageCache {
     memo: Mutex<Memo>,
@@ -299,10 +340,15 @@ impl StageCache {
         self.disk_dir = Some(dir);
     }
 
+    /// The attached `<cache-dir>/stages` directory, if any.
+    pub(crate) fn disk_dir(&self) -> Option<&Path> {
+        self.disk_dir.as_deref()
+    }
+
     /// Caps the resident slot count (tests exercise small bounds; the
     /// default is [`STAGE_MEMO_CAPACITY`]).
     #[cfg(test)]
-    fn set_memo_capacity(&self, capacity: usize) {
+    pub(crate) fn set_memo_capacity(&self, capacity: usize) {
         self.memo.lock().expect("stage cache lock").capacity = capacity;
     }
 
@@ -311,6 +357,47 @@ impl StageCache {
     /// disk out from under a concurrent reader's repair path.
     pub(crate) fn resident_keys(&self) -> HashSet<JobKey> {
         self.memo.lock().expect("stage cache lock").map.keys().copied().collect()
+    }
+
+    /// Finished jobs currently resident in the memo.
+    pub(crate) fn resident_jobs(&self) -> usize {
+        let memo = self.memo.lock().expect("stage cache lock");
+        memo.map.values().filter(|slot| matches!(slot.get(), Some(Ok(StageValue::Job(_))))).count()
+    }
+
+    /// Looks a finished job up without blocking: the resident slot, else
+    /// its disk file (promoted into the memo). Returns the shared result
+    /// and where it came from (`"memory"` or `"disk"`), the provenance a
+    /// `job` trace event carries. Counts nothing — job hits and misses
+    /// are the caller's.
+    pub(crate) fn job(&self, key: JobKey) -> Option<(Arc<JobResult>, &'static str)> {
+        if let Some(Ok(StageValue::Job(result))) =
+            self.memo.lock().expect("stage cache lock").get(&key)
+        {
+            return Some((Arc::clone(result), "memory"));
+        }
+        let result = self.load_artifact(key, "job", StageKind::Job)?.into_job();
+        let slot = self.memo.lock().expect("stage cache lock").slot(key);
+        let _ = slot.set(Ok(StageValue::Job(Arc::clone(&result))));
+        Some((result, "disk"))
+    }
+
+    /// Whether `key`'s job file on disk decodes, without touching the
+    /// memo. A corrupt file is deleted, as on every disk read.
+    pub(crate) fn job_on_disk(&self, key: JobKey) -> bool {
+        self.load_artifact(key, "job", StageKind::Job).is_some()
+    }
+
+    /// Admits a finished job: sets its slot and spills a successful
+    /// comparison to `<key>.stage` (best effort). Errors stay in memory
+    /// only, like failed stages.
+    pub(crate) fn admit_job(&self, key: JobKey, result: &Arc<JobResult>) {
+        let value = StageValue::Job(Arc::clone(result));
+        if result.is_ok() {
+            self.spill_artifact(key, "job", &value);
+        }
+        let slot = self.memo.lock().expect("stage cache lock").slot(key);
+        let _ = slot.set(Ok(value));
     }
 
     /// Lifetime stage hits across every batch.
@@ -394,22 +481,28 @@ impl StageCache {
         value
     }
 
-    /// Best-effort spill of a successful stage artifact: hidden temp
-    /// file in the same directory, then atomic rename, so a reader never
-    /// sees a torn file. A failed write costs a recompute in some later
-    /// process, never this result. Errors are not spilled — they are
-    /// cheap to reproduce and a schema-visible failure marker would risk
-    /// pinning a transient environment problem.
+    /// Best-effort spill of a successful artifact: hidden temp file in
+    /// the same directory, then atomic rename, so a reader never sees a
+    /// torn file. The temp name carries pid + a process-wide serial, so
+    /// two threads (or two engines in one process) spilling one key never
+    /// write into the same temp file; a temp file whose write or rename
+    /// fails is removed. A failed write costs a recompute in some later process,
+    /// never this result. Errors are not spilled — they are cheap to
+    /// reproduce and a schema-visible failure marker would risk pinning a
+    /// transient environment problem.
     fn spill_artifact(&self, key: JobKey, stage: &str, value: &StageValue) {
+        static SPILL: AtomicU64 = AtomicU64::new(0);
         let Some(dir) = &self.disk_dir else { return };
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
         let body =
             format!("bittrans-stage {STAGE_FILE_SCHEMA} {stage} ok\n{}", value.to_canonical());
-        let tmp = dir.join(format!(".{key}.{}.tmp", std::process::id()));
-        if std::fs::write(&tmp, body).is_ok()
-            && std::fs::rename(&tmp, dir.join(format!("{key}.stage"))).is_err()
+        let serial = SPILL.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(".{key}.{}-{serial}.tmp", std::process::id()));
+        if std::fs::write(&tmp, body)
+            .and_then(|()| std::fs::rename(&tmp, dir.join(format!("{key}.stage"))))
+            .is_err()
         {
             let _ = std::fs::remove_file(&tmp);
         }

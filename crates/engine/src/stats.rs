@@ -36,7 +36,9 @@ pub struct EngineStats {
     pub cache_hits: u64,
     /// Jobs that required running the pipeline.
     pub cache_misses: u64,
-    /// Results resident in the cache after the batch.
+    /// Distinct job keys the batch resolved — the results a fresh engine
+    /// holds after the same batch. In a lifetime snapshot
+    /// ([`crate::Engine::stats`]): the finished jobs resident in memory.
     pub cache_entries: usize,
     /// Worker threads used.
     pub workers: usize,
@@ -80,8 +82,9 @@ impl EngineStats {
     /// Folds another batch's counters into this one, as when merging the
     /// per-shard statistics of a multi-process run: `jobs`, `cache_hits`,
     /// `cache_misses` and `workers` add (the job sets are disjoint and the
-    /// pools ran side by side); `cache_entries` takes the maximum (each
-    /// process sees the same shared store, so summing would double-count);
+    /// pools ran side by side); `cache_entries` takes the maximum (a
+    /// coordinator's gap-fill batch already spans every key, so summing
+    /// would double-count);
     /// `elapsed` takes the maximum (the batches overlapped in time).
     pub fn absorb(&mut self, other: &EngineStats) {
         self.jobs += other.jobs;

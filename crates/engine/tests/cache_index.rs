@@ -1,13 +1,11 @@
-//! The cache directory's `index.json` manifest and eviction sweep, tested
+//! The cache directory's store (`stages/`) and its eviction sweep, tested
 //! through the public `Engine` API:
 //!
-//! * opening a directory is **lazy** — entry bodies are only parsed when a
-//!   batch actually asks for their key;
-//! * a stale, corrupt or wrong-schema index is rebuilt from the directory
-//!   contents and rewritten;
-//! * `Engine::prune_cache` evicts by size/age, never touches entries
-//!   pinned by the live run, and leaves the index consistent with the
-//!   directory.
+//! * opening a directory is **lazy** — a job file is only parsed when a
+//!   batch actually asks for its key;
+//! * `Engine::prune_cache` evicts by size/age over every file of the
+//!   store, finished jobs and stage artifacts alike, and never touches
+//!   files pinned by the live run.
 
 use bittrans_core::CompareOptions;
 use bittrans_engine::{Engine, Job, PrunePolicy, Study};
@@ -38,46 +36,20 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The `<32-hex>.json` entry files of a cache dir, sorted by name.
-fn entry_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+/// Every file of the store (what a prune scans), sorted by name.
+fn store_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("stages"))
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| {
-            p.file_name().is_some_and(|n| {
-                let n = n.to_string_lossy();
-                n.len() == 37 && n.ends_with(".json")
-            })
-        })
+        .filter(|p| p.file_name().is_some_and(|n| !n.to_string_lossy().starts_with('.')))
         .collect();
     files.sort();
     files
 }
 
-/// Keys listed in `index.json`, as 32-hex strings.
-fn indexed_keys(dir: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(dir.join("index.json")).unwrap();
-    let value = serde_json::from_str(&text).unwrap();
-    assert_eq!(value.get("schema").unwrap().as_u64(), Some(1));
-    let mut keys: Vec<String> = value
-        .get("entries")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|row| row.get("key").unwrap().as_str().unwrap().to_string())
-        .collect();
-    keys.sort();
-    keys
-}
-
-/// Asserts `index.json` lists exactly the entry files present.
-fn assert_index_consistent(dir: &Path) {
-    let from_files: Vec<String> = entry_files(dir)
-        .iter()
-        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(indexed_keys(dir), from_files);
+/// The job file `job` persists to.
+fn job_file(dir: &Path, job: &Job) -> PathBuf {
+    dir.join("stages").join(format!("{}.stage", job.key()))
 }
 
 fn populate(dir: &Path, latencies: std::ops::RangeInclusive<u32>) -> usize {
@@ -87,30 +59,25 @@ fn populate(dir: &Path, latencies: std::ops::RangeInclusive<u32>) -> usize {
 }
 
 #[test]
-fn a_run_writes_a_consistent_index() {
+fn a_run_writes_one_job_file_per_distinct_cell() {
     let dir = temp_dir("written");
     let cells = populate(&dir, 2..=5);
-    assert_eq!(entry_files(&dir).len(), cells);
-    assert_index_consistent(&dir);
-    // The index records sizes and mtimes for every entry.
-    let text = std::fs::read_to_string(dir.join("index.json")).unwrap();
-    let value = serde_json::from_str(&text).unwrap();
-    for row in value.get("entries").unwrap().as_array().unwrap() {
-        assert!(row.get("bytes").unwrap().as_u64().unwrap() > 0);
-        assert!(row.get("mtime").unwrap().as_u64().is_some());
-        let file = row.get("file").unwrap().as_str().unwrap();
-        assert!(dir.join(file).exists());
+    for latency in 2..=5 {
+        let text = std::fs::read_to_string(job_file(&dir, &populated_job(latency))).unwrap();
+        assert!(text.starts_with("bittrans-stage 2 job ok\n"), "{text}");
     }
+    // Besides the jobs, the store holds the stages they ran.
+    assert!(store_files(&dir).len() > cells);
 }
 
 #[test]
 fn entries_load_lazily_not_at_open() {
     let dir = temp_dir("lazy");
     populate(&dir, 2..=5);
-    // Corrupt the λ=2 entry *behind the index's back* (same size, same
-    // name, so the index stays trusted) — if opening parsed every entry,
-    // the corruption would be noticed and repaired up front.
-    let victim = dir.join(format!("{}.json", populated_job(2).key()));
+    // Corrupt the λ=2 job file (same size, same name) — if opening
+    // parsed every file, the corruption would be noticed and repaired up
+    // front.
+    let victim = job_file(&dir, &populated_job(2));
     let size = std::fs::metadata(&victim).unwrap().len() as usize;
     std::fs::write(&victim, " ".repeat(size)).unwrap();
 
@@ -118,67 +85,41 @@ fn entries_load_lazily_not_at_open() {
     // ever reading the corrupt file.
     let engine = Engine::default().with_cache_dir(&dir).unwrap();
     let report = Study::single(three_adds()).latencies(3..=5).verify_vectors([0]).run(&engine);
-    assert_eq!(report.stats.cache_hits + report.stats.cache_misses, 3);
+    assert_eq!(report.stats.cache_hits, 3);
     let untouched = std::fs::read_to_string(&victim).unwrap();
     assert!(untouched.chars().all(|c| c == ' '), "lazy open must not have repaired the file");
 
     // Asking for every key finally trips over the corruption: exactly one
-    // recomputation, and the respill repairs the file.
+    // job recomputation, from intact stage files, and the respill repairs
+    // the file.
     let engine = Engine::default().with_cache_dir(&dir).unwrap();
     let report = Study::single(three_adds()).latencies(2..=5).verify_vectors([0]).run(&engine);
     assert_eq!(report.stats.cache_misses, 1);
     assert_eq!(report.stats.cache_hits, 3);
-    assert!(std::fs::read_to_string(&victim).unwrap().starts_with('{'));
-    assert_index_consistent(&dir);
-}
-
-#[test]
-fn stale_or_corrupt_index_is_rebuilt() {
-    let dir = temp_dir("rebuild");
-    populate(&dir, 2..=4);
-    // Corrupt: plain garbage where the manifest should be.
-    std::fs::write(dir.join("index.json"), "garbage, not an index").unwrap();
-    let engine = Engine::default().with_cache_dir(&dir).unwrap();
-    let report = Study::single(three_adds()).latencies(2..=4).verify_vectors([0]).run(&engine);
-    assert_eq!(report.stats.cache_hits, 3, "rebuilt index must still serve every entry");
-    assert_index_consistent(&dir);
-
-    // Stale: an entry vanishes behind the index's back. The reopen
-    // rebuilds from the directory and the missing key simply recomputes.
-    let victim = entry_files(&dir)[0].clone();
-    std::fs::remove_file(&victim).unwrap();
-    let engine = Engine::default().with_cache_dir(&dir).unwrap();
-    let report = Study::single(three_adds()).latencies(2..=4).verify_vectors([0]).run(&engine);
-    assert_eq!(report.stats.cache_misses, 1);
-    assert_eq!(report.stats.cache_hits, 2);
-    assert_index_consistent(&dir);
-
-    // Deleted outright: same story.
-    std::fs::remove_file(dir.join("index.json")).unwrap();
-    let engine = Engine::default().with_cache_dir(&dir).unwrap();
-    let report = Study::single(three_adds()).latencies(2..=4).verify_vectors([0]).run(&engine);
-    assert_eq!(report.stats.cache_hits, 3);
-    assert_index_consistent(&dir);
+    assert_eq!(report.stats.stage_misses, 0);
+    assert!(std::fs::read_to_string(&victim).unwrap().starts_with("bittrans-stage 2 job ok\n"));
 }
 
 #[test]
 fn prune_never_touches_entries_pinned_by_a_live_run() {
     let dir = temp_dir("pinned");
     populate(&dir, 2..=5);
+    let scanned = store_files(&dir).len();
 
-    // A live engine whose in-memory cache holds two of the four results.
+    // A live engine whose memo holds two of the four results.
     let live = Engine::default().with_cache_dir(&dir).unwrap();
     live.run(vec![populated_job(2), populated_job(3)]);
 
     // An impossible budget: everything unpinned goes, the live run's two
-    // entries survive.
+    // job files survive.
     let report = live.prune_cache(PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
-    assert_eq!(report.scanned, 4);
-    assert_eq!(report.removed, 2);
+    assert_eq!(report.scanned, scanned);
+    assert_eq!(report.removed, scanned - 2);
     assert_eq!(report.pinned, 2);
     assert_eq!(report.kept, 2);
-    assert_eq!(entry_files(&dir).len(), 2);
-    assert_index_consistent(&dir);
+    let mut expected = vec![job_file(&dir, &populated_job(2)), job_file(&dir, &populated_job(3))];
+    expected.sort();
+    assert_eq!(store_files(&dir), expected);
 
     // The surviving files are exactly the live run's keys.
     let warm = Engine::default().with_cache_dir(&dir).unwrap();
@@ -190,14 +131,16 @@ fn prune_never_touches_entries_pinned_by_a_live_run() {
 fn prune_with_no_live_run_can_empty_the_directory() {
     let dir = temp_dir("empty");
     populate(&dir, 2..=5);
+    let scanned = store_files(&dir).len();
     let engine = Engine::default().with_cache_dir(&dir).unwrap();
     // Nothing resident in memory: nothing is pinned.
     let report = engine.prune_cache(PrunePolicy { max_bytes: Some(0), max_age: None }).unwrap();
-    assert_eq!(report.removed, 4);
+    assert_eq!(report.scanned, scanned);
+    assert_eq!(report.removed, scanned);
     assert_eq!(report.kept, 0);
+    assert_eq!(report.kept_bytes, 0);
     assert_eq!(report.pinned, 0);
-    assert!(entry_files(&dir).is_empty());
-    assert_index_consistent(&dir);
+    assert!(store_files(&dir).is_empty());
     // The default policy is a no-op.
     let report = engine.prune_cache(PrunePolicy::default()).unwrap();
     assert_eq!(report.removed, 0);
@@ -213,12 +156,13 @@ fn prune_requires_an_attached_directory() {
 fn fresh_entries_survive_an_age_bound() {
     let dir = temp_dir("age");
     populate(&dir, 2..=4);
+    let scanned = store_files(&dir).len();
     let engine = Engine::default().with_cache_dir(&dir).unwrap();
     // Everything was written milliseconds ago: a one-hour bound keeps all.
     let policy =
         PrunePolicy { max_age: Some(std::time::Duration::from_secs(3600)), max_bytes: None };
     let report = engine.prune_cache(policy).unwrap();
     assert_eq!(report.removed, 0);
-    assert_eq!(report.kept, 3);
-    assert_index_consistent(&dir);
+    assert_eq!(report.kept, scanned);
+    assert_eq!(store_files(&dir).len(), scanned);
 }

@@ -253,11 +253,11 @@ fn corrupt_preloaded_entry_does_not_break_bit_identity() {
     for dir in [&dir_a, &dir_b] {
         fill_store(&study, 0, 1, usize::MAX, dir);
     }
-    // ...each with the same entry truncated to garbage (same length, so
-    // the index metadata stays plausible).
+    // ...each with the same job file overwritten by garbage of the same
+    // length (its name and size still look like a valid entry).
     let victim_key = sorted_keys(&study)[0];
     for dir in [&dir_a, &dir_b] {
-        let victim = dir.join(format!("{victim_key}.json"));
+        let victim = dir.join("stages").join(format!("{victim_key}.stage"));
         let size = std::fs::metadata(&victim).unwrap().len() as usize;
         std::fs::write(&victim, " ".repeat(size)).unwrap();
     }
