@@ -35,7 +35,7 @@ pub mod random;
 pub use adpcm::{iaq, opfc_sca, ttd};
 pub use classic::{diffeq, elliptic, fig3_dfg, fir2, iir4, three_adds};
 pub use extended::{ar_lattice, cordic3, dct4, extended_benchmarks};
-pub use random::{random_spec, RandomSpecOptions};
+pub use random::{mutate_carry, random_spec, RandomSpecOptions};
 
 use bittrans_ir::Spec;
 

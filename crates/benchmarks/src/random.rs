@@ -98,6 +98,56 @@ pub fn random_spec(seed: u64, options: &RandomSpecOptions) -> Spec {
     b.finish().expect("random specs are valid by construction")
 }
 
+/// A copy of `spec` with the carry-in of one `Add` toggled: dropped when
+/// the add has one, fed bit 0 of its first operand when it has none. The
+/// add is number `pick` (modulo the add count) in operation order; `None`
+/// when `spec` has no `Add`.
+///
+/// This is the typical fragmentation bug — a carry lost between two
+/// fragments — so the copy serves as a negative case for equivalence
+/// checkers. It usually disagrees with `spec`, but only on vectors that
+/// exercise that carry.
+pub fn mutate_carry(spec: &Spec, pick: usize) -> Option<Spec> {
+    let adds: Vec<OpId> =
+        spec.ops().iter().filter(|op| op.kind() == OpKind::Add).map(|op| op.id()).collect();
+    let target = *adds.get(pick % adds.len().max(1))?;
+    let mut b = SpecBuilder::new(format!("{}_mutant", spec.name()));
+    // Rebuilt in value order, so every value keeps its id.
+    for value in spec.values() {
+        match value.def() {
+            ValueDef::Input { name } => {
+                b.input(name.clone(), value.width());
+            }
+            ValueDef::Op(id) => {
+                let op = spec.op(*id);
+                let mut operands = op.operands().to_vec();
+                if op.id() == target {
+                    if operands.len() == 3 {
+                        operands.pop();
+                    } else if spec.operand_width(&operands[0]) > 0 {
+                        operands.push(operands[0].subrange(BitRange::new(0, 1)));
+                    } else {
+                        operands.push(Operand::const_bit(true));
+                    }
+                }
+                b.op_with_origin(
+                    op.kind(),
+                    operands,
+                    op.width(),
+                    op.signedness(),
+                    op.name(),
+                    op.origin(),
+                )
+                .expect("a carry-in toggle keeps the add valid");
+            }
+        }
+    }
+    for port in spec.outputs() {
+        b.output(port.name(), port.operand().clone());
+    }
+    Some(b.finish().expect("ports are unchanged"))
+}
+
 /// `v` as a mul operand at most `cap` bits wide: the value itself when it
 /// fits, its low `cap` bits otherwise. Returns the operand and its width.
 fn capped(v: ValueId, w: u32, cap: u32) -> (Operand, u32) {

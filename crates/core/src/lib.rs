@@ -351,8 +351,10 @@ pub fn stage_fragment(kernel: &Spec, latency: u32) -> Result<Fragmented, Pipelin
 }
 
 /// Stage `verify`: co-simulates the transformed spec against the original
-/// over `vectors` random vectors (fixed seed, so the check is a pure
-/// function of its arguments). A no-op when `vectors` is zero.
+/// on the all-zeros and all-ones vectors plus `vectors` seeded random
+/// vectors (fixed seed, so the check is a pure function of its
+/// arguments), 64 vectors per pass of a compiled bit-sliced simulation. A
+/// no-op when `vectors` is zero.
 ///
 /// # Errors
 ///

@@ -21,6 +21,11 @@
 //!   sharded/remote report is byte-identical, after
 //!   [`normalize_run_shape`], to the single-process run over the same
 //!   grid and starting cache state;
+//! * **compiled == interpreted** — the compiled bit-sliced equivalence
+//!   checker returns exactly what the interpreted reference returns, for
+//!   the spec against itself, against its fragmented spec at each
+//!   feasible λ, and against one carry-mutated fragmented spec (so the
+//!   counterexample path is fuzzed too);
 //! * **panic freedom** — a case that panics anywhere in the pipeline is
 //!   caught and reported as a violation instead of killing the run.
 //!
@@ -34,9 +39,12 @@ use crate::shard::{self, ShardOptions, ShardedStudy, Transport};
 use crate::study::Study;
 use crate::trace;
 use crate::{Engine, EngineOptions};
-use bittrans_benchmarks::{random_spec, RandomSpecOptions};
+use bittrans_benchmarks::{mutate_carry, random_spec, RandomSpecOptions};
 use bittrans_core::CompareOptions;
+use bittrans_frag::{fragment, FragmentOptions};
+use bittrans_ir::Spec;
 use bittrans_rtl::AdderArch;
+use bittrans_sim::equivalence::{check_equivalence, check_equivalence_interpreted};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -48,6 +56,11 @@ pub const LATENCIES: [u32; 4] = [2, 3, 4, 6];
 
 /// Random vectors spent on each cell's built-in equivalence check.
 pub const VERIFY_VECTORS: usize = 8;
+
+/// Random vectors per compiled-vs-interpreted comparison. With the two
+/// extreme vectors they fill half of one 64-lane block, so the unused
+/// lanes' masking is fuzzed too; the interpreted side dominates the cost.
+pub const COSIM_VECTORS: usize = 30;
 
 /// The adder-architecture axis: all of them.
 pub const ADDERS: [AdderArch; 3] =
@@ -129,6 +142,9 @@ pub enum Invariant {
     StagedIdentity,
     /// Sharded/remote report differed from single-process.
     ShardIdentity,
+    /// The compiled equivalence checker disagreed with the interpreted
+    /// reference.
+    CompiledInterpreted,
     /// The pipeline panicked.
     Panic,
 }
@@ -141,6 +157,7 @@ impl Invariant {
             Invariant::LatencyMonotonic => "latency_monotonic",
             Invariant::StagedIdentity => "staged_identity",
             Invariant::ShardIdentity => "shard_identity",
+            Invariant::CompiledInterpreted => "compiled_interpreted",
             Invariant::Panic => "panic",
         }
     }
@@ -324,7 +341,7 @@ impl FuzzReport {
             out.push_str(&format!("  shape {name:<11} {n} cases\n"));
         }
         for ((inv, checked), (_, broken)) in self.checks.iter().zip(&self.violations) {
-            out.push_str(&format!("  {:<18} {checked} checks, {broken} violations\n", inv.name()));
+            out.push_str(&format!("  {:<20} {checked} checks, {broken} violations\n", inv.name()));
         }
         for v in &self.details {
             out.push_str(&format!(
@@ -519,6 +536,44 @@ fn check_shard_identity(
     }
 }
 
+/// Invariant (e): the compiled equivalence checker's result equals the
+/// interpreted reference's, byte for byte, for `spec` against itself,
+/// against its fragmented spec at each feasible λ, and against a
+/// carry-mutated copy of one of those. Returns the comparisons made.
+fn check_compiled_interpreted(seed: u64, spec: &Spec, out: &mut Vec<Violation>) -> usize {
+    let mut rights = vec![("original".to_string(), spec.clone())];
+    if let Ok(kernel) = bittrans_kernel::extract(spec) {
+        for latency in LATENCIES {
+            if let Ok(f) = fragment(&kernel, &FragmentOptions::with_latency(latency)) {
+                rights.push((format!("fragmented at λ={latency}"), f.spec));
+            }
+        }
+    }
+    let fragmented = rights.len() - 1;
+    if fragmented > 0 {
+        let (label, victim) = &rights[1 + seed as usize % fragmented];
+        if let Some(mutant) = mutate_carry(victim, seed as usize) {
+            rights.push((format!("carry-mutated {label}"), mutant));
+        }
+    }
+    for (label, right) in &rights {
+        let compiled = format!("{:?}", check_equivalence(spec, right, seed, COSIM_VECTORS));
+        let interpreted =
+            format!("{:?}", check_equivalence_interpreted(spec, right, seed, COSIM_VECTORS));
+        if compiled != interpreted {
+            out.push(Violation {
+                seed,
+                invariant: Invariant::CompiledInterpreted,
+                detail: format!(
+                    "{label}: compiled and interpreted checks differ: {}",
+                    first_diff(&compiled, &interpreted)
+                ),
+            });
+        }
+    }
+    rights.len()
+}
+
 /// A short deterministic description of where two strings diverge.
 fn first_diff(a: &str, b: &str) -> String {
     let at = a.bytes().zip(b.bytes()).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()));
@@ -570,6 +625,10 @@ pub fn run_case(seed: u64, options: &FuzzOptions) -> CaseOutcome {
         ));
         check_staged_identity(seed, &staged, &study, options.workers, &mut violations);
         checks.push((Invariant::StagedIdentity, 1));
+        checks.push((
+            Invariant::CompiledInterpreted,
+            check_compiled_interpreted(seed, &spec, &mut violations),
+        ));
         if let Some(diff) = &options.differential {
             let sharded = ShardedStudy {
                 sources: vec![spec.to_canonical()],
@@ -635,6 +694,7 @@ pub fn run(options: &FuzzOptions) -> FuzzReport {
         Invariant::LatencyMonotonic,
         Invariant::StagedIdentity,
         Invariant::ShardIdentity,
+        Invariant::CompiledInterpreted,
         Invariant::Panic,
     ];
     let mut shapes: Vec<(&'static str, usize)> =
@@ -660,8 +720,8 @@ pub fn run(options: &FuzzOptions) -> FuzzReport {
         shapes[shape_at].1 += 1;
         cells += outcome.cells;
         feasible += outcome.feasible;
-        // Every case is checked for panics by construction.
-        checks[4].1 += 1;
+        // Every case is checked for panics by construction (last slot).
+        checks[invariants.len() - 1].1 += 1;
         for (inv, n) in &outcome.checks {
             if let Some(slot) = checks.iter_mut().find(|(i, _)| i == inv) {
                 slot.1 += n;

@@ -24,6 +24,8 @@ fn a_fuzz_run_is_clean() {
     // All four shapes appear over 8 consecutive seeds.
     assert!(report.shapes.iter().all(|&(_, n)| n == 2));
     assert_eq!(report.total_violations(), 0, "{}", report.render_text());
+    // The spec against itself plus at least one fragmentation per case.
+    assert!(report.checks.iter().any(|&(i, n)| i == Invariant::CompiledInterpreted && n >= 16));
 }
 
 #[test]
@@ -141,7 +143,13 @@ fn the_json_document_is_well_formed() {
     assert_eq!(value.get("count").and_then(|v| v.as_u64()), Some(2));
     let violations = value.get("violations").unwrap();
     assert_eq!(violations.get("total").and_then(|v| v.as_u64()), Some(0));
-    for key in ["adder_equivalence", "latency_monotonic", "staged_identity", "shard_identity"] {
+    for key in [
+        "adder_equivalence",
+        "latency_monotonic",
+        "staged_identity",
+        "shard_identity",
+        "compiled_interpreted",
+    ] {
         assert!(violations.get(key).is_some(), "missing violations.{key}");
     }
     assert!(value.get("elapsed_ms").is_some());

@@ -4,22 +4,31 @@
 //! must preserve the input/output behaviour of the specification. This
 //! module decides equivalence by co-simulation on shared input vectors —
 //! the same role RTL-vs-behaviour simulation played for the paper's
-//! authors.
+//! authors. Both sides run as compiled bit-sliced [`Tape`]s, 64 vectors
+//! per pass; [`check_equivalence_interpreted`] is the same check driven
+//! through [`evaluate`] one vector at a time, kept as the reference the
+//! compiled path must match result for result.
 
-use crate::vectors::random_vectors;
+use crate::tape::{Tape, LANES};
+use crate::vectors::{draw_bits, random_inputs};
 use crate::{evaluate, InputVector, SimError};
 use bittrans_ir::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::fmt;
+use std::ops::Range;
 
 /// Why two specifications were judged non-equivalent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Inequivalence {
-    /// The input port lists differ (names or widths).
+    /// The port lists differ: an input or output missing on one side, or
+    /// an input of different widths.
     PortMismatch {
         /// Human-readable description of the difference.
         detail: String,
     },
-    /// Simulation of one side failed.
+    /// A caller-supplied vector could not be simulated (see
+    /// [`check_equivalence_on`]).
     SimFailed(SimError),
     /// The outputs differ on a concrete vector.
     Counterexample {
@@ -56,32 +65,128 @@ impl From<SimError> for Inequivalence {
 
 /// Checks that `left` and `right` agree on every supplied vector.
 ///
-/// Output ports are matched by name; the comparison is on *values*
-/// (zero-extended to the wider of the two declared widths), so a transformed
-/// spec may carry extra result bits (e.g. preserved carry-outs) as long as
-/// the meaningful bits agree. Extra outputs present on only one side are
-/// ignored, except that every output of `left` must exist on `right`.
+/// Both specs must declare the same inputs (names and widths), and every
+/// output of `left` must exist on `right`; extra outputs on `right` are
+/// ignored. Outputs are matched by name and compared on *values*
+/// (zero-extended to the wider of the two declared widths), so a
+/// transformed spec may carry extra result bits (e.g. preserved
+/// carry-outs) as long as the meaningful bits agree.
 ///
 /// # Errors
 ///
-/// Returns the first [`Inequivalence`] found.
+/// [`Inequivalence::PortMismatch`] before any vector is simulated; then
+/// the first disagreement in vector order (the first differing output in
+/// name order), or [`Inequivalence::SimFailed`] for the first vector that
+/// does not bind `left`'s inputs, whichever comes first.
 pub fn check_equivalence_on(
     left: &Spec,
     right: &Spec,
     vectors: &[InputVector],
 ) -> Result<(), Inequivalence> {
     check_ports(left, right)?;
-    for iv in vectors {
-        let le = evaluate(left, iv)?;
-        let re = evaluate(right, iv)?;
+    let mut cosim = Cosim::new(left, right);
+    for block in vectors.chunks(LANES) {
+        cosim.clear();
+        let mut loaded = block.len();
+        let mut unbound = None;
+        for (lane, iv) in block.iter().enumerate() {
+            if let Err(e) = cosim.left.load(&mut cosim.lslots, lane, iv) {
+                (loaded, unbound) = (lane, Some(e));
+                break;
+            }
+        }
+        if let Some((lane, output)) = cosim.run(loaded) {
+            return Err(cosim.counterexample(lane, output, block[lane].clone()));
+        }
+        if let Some(e) = unbound {
+            return Err(e.into());
+        }
+    }
+    Ok(())
+}
+
+/// Checks equivalence on `count` seeded random vectors, preceded by the
+/// all-zeros and all-ones vectors (always included). Port rules and the
+/// comparison are those of [`check_equivalence_on`].
+///
+/// The vectors are drawn straight into the simulation lanes, 64 at a time,
+/// so memory does not grow with `count`. They are the vectors
+/// [`vectors::random_vectors`](crate::vectors::random_vectors) draws, and
+/// the result equals [`check_equivalence_interpreted`]'s.
+///
+/// # Errors
+///
+/// [`Inequivalence::PortMismatch`] before any vector is drawn, otherwise
+/// the [`Inequivalence::Counterexample`] of the first failing vector; it
+/// embeds the failing inputs for reproduction.
+pub fn check_equivalence(
+    left: &Spec,
+    right: &Spec,
+    seed: u64,
+    count: usize,
+) -> Result<(), Inequivalence> {
+    check_ports(left, right)?;
+    let mut cosim = Cosim::new(left, right);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = count.saturating_add(2);
+    let mut start = 0;
+    while start < total {
+        let lanes = (total - start).min(LANES);
+        cosim.clear();
+        for lane in 0..lanes {
+            match start + lane {
+                0 => {}
+                1 => {
+                    cosim.lslots[cosim.left.input_slots()].iter_mut().for_each(|s| *s |= 1 << lane)
+                }
+                _ => {
+                    for (_, slots) in cosim.left.input_ports() {
+                        draw_bits(slots.len(), &mut rng, |i| {
+                            cosim.lslots[slots.start + i] |= 1 << lane;
+                        });
+                    }
+                }
+            }
+        }
+        if let Some((lane, output)) = cosim.run(lanes) {
+            let inputs = cosim.input_vector(lane);
+            return Err(cosim.counterexample(lane, output, inputs));
+        }
+        start += lanes;
+    }
+    Ok(())
+}
+
+/// The interpreted reference for [`check_equivalence`]: the same port
+/// checks and the same vectors, each run through [`evaluate`] on both
+/// sides, one at a time. Slow; it exists so tests and `bittrans fuzz` can
+/// hold the compiled checker to it.
+///
+/// # Errors
+///
+/// As [`check_equivalence`].
+pub fn check_equivalence_interpreted(
+    left: &Spec,
+    right: &Spec,
+    seed: u64,
+    count: usize,
+) -> Result<(), Inequivalence> {
+    check_ports(left, right)?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    for k in 0..count.saturating_add(2) {
+        let iv = match k {
+            0 => extreme_vector(left, false),
+            1 => extreme_vector(left, true),
+            _ => random_inputs(left, &mut rng),
+        };
+        let le = evaluate(left, &iv)?;
+        let re = evaluate(right, &iv)?;
         for (name, lbits) in le.outputs() {
-            let rbits = re.output(name).ok_or_else(|| Inequivalence::PortMismatch {
-                detail: format!("output `{name}` missing from `{}`", right.name()),
-            })?;
+            let rbits = re.output(name).expect("outputs are checked before simulation");
             let w = lbits.width().max(rbits.width());
             if lbits.zext(w) != rbits.zext(w) {
                 return Err(Inequivalence::Counterexample {
-                    inputs: iv.clone(),
+                    inputs: iv,
                     output: name.to_string(),
                     left: lbits.clone(),
                     right: rbits.clone(),
@@ -90,24 +195,6 @@ pub fn check_equivalence_on(
         }
     }
     Ok(())
-}
-
-/// Checks equivalence on `count` seeded random vectors (plus the all-zeros
-/// and all-ones vectors, always included).
-///
-/// # Errors
-///
-/// Returns the first [`Inequivalence`] found; the counterexample embeds the
-/// failing inputs for reproduction.
-pub fn check_equivalence(
-    left: &Spec,
-    right: &Spec,
-    seed: u64,
-    count: usize,
-) -> Result<(), Inequivalence> {
-    let mut vectors = vec![extreme_vector(left, false), extreme_vector(left, true)];
-    vectors.extend(random_vectors(left, seed, count));
-    check_equivalence_on(left, right, &vectors)
 }
 
 fn extreme_vector(spec: &Spec, ones: bool) -> InputVector {
@@ -119,26 +206,134 @@ fn extreme_vector(spec: &Spec, ones: bool) -> InputVector {
     iv
 }
 
+/// The structural half of the check: the same inputs on both sides (names
+/// and widths), and every output of `left` present on `right`.
 fn check_ports(left: &Spec, right: &Spec) -> Result<(), Inequivalence> {
+    let mismatch = |detail: String| Err(Inequivalence::PortMismatch { detail });
     for &l in left.inputs() {
         let name = left.input_name(l);
         match right.input_by_name(name) {
-            None => {
-                return Err(Inequivalence::PortMismatch {
-                    detail: format!("input `{name}` missing from `{}`", right.name()),
-                })
-            }
+            None => return mismatch(format!("input `{name}` missing from `{}`", right.name())),
             Some(r) => {
                 let (lw, rw) = (left.value(l).width(), right.value(r).width());
                 if lw != rw {
-                    return Err(Inequivalence::PortMismatch {
-                        detail: format!("input `{name}` is {lw} bits vs {rw} bits"),
-                    });
+                    return mismatch(format!("input `{name}` is {lw} bits vs {rw} bits"));
                 }
             }
         }
     }
+    for &r in right.inputs() {
+        let name = right.input_name(r);
+        if left.input_by_name(name).is_none() {
+            return mismatch(format!("input `{name}` missing from `{}`", left.name()));
+        }
+    }
+    let mut outputs: Vec<&str> = left.outputs().iter().map(|p| p.name()).collect();
+    outputs.sort_unstable();
+    for name in outputs {
+        if !right.outputs().iter().any(|p| p.name() == name) {
+            return mismatch(format!("output `{name}` missing from `{}`", right.name()));
+        }
+    }
     Ok(())
+}
+
+/// Two compiled specs co-simulated on shared input lanes. The lanes are
+/// loaded into `left`'s input slots and copied to `right`'s by port name.
+struct Cosim {
+    left: Tape,
+    right: Tape,
+    lslots: Vec<u64>,
+    rslots: Vec<u64>,
+    /// Each left input's slots and where the same port starts on the right.
+    feed: Vec<(Range<usize>, usize)>,
+    /// `(left, right)` output indices, in the left's name order.
+    pairs: Vec<(usize, usize)>,
+}
+
+impl Cosim {
+    /// Compiles both sides; the ports must have passed [`check_ports`].
+    fn new(left: &Spec, right: &Spec) -> Cosim {
+        let (left, right) = (Tape::compile(left), Tape::compile(right));
+        let feed = left
+            .input_ports()
+            .map(|(name, slots)| {
+                let (_, theirs) = right
+                    .input_ports()
+                    .find(|(n, _)| *n == name)
+                    .expect("inputs are checked before simulation");
+                (slots, theirs.start)
+            })
+            .collect();
+        let pairs = (0..left.output_count())
+            .map(|o| {
+                let theirs = right
+                    .output_index(left.output_name(o))
+                    .expect("outputs are checked before simulation");
+                (o, theirs)
+            })
+            .collect();
+        let (lslots, rslots) = (left.new_slots(), right.new_slots());
+        Cosim { left, right, lslots, rslots, feed, pairs }
+    }
+
+    fn clear(&mut self) {
+        self.left.clear_inputs(&mut self.lslots);
+    }
+
+    /// Simulates both sides on the loaded lanes and returns the lowest of
+    /// the first `lanes` lanes whose outputs differ, with the index into
+    /// `pairs` of its first differing output.
+    fn run(&mut self, lanes: usize) -> Option<(usize, usize)> {
+        self.left.run(&mut self.lslots);
+        for (slots, to) in &self.feed {
+            self.rslots[*to..*to + slots.len()].copy_from_slice(&self.lslots[slots.clone()]);
+        }
+        self.right.run(&mut self.rslots);
+        let mask = if lanes >= LANES { !0 } else { (1u64 << lanes) - 1 };
+        let mut first: Option<(usize, usize)> = None;
+        for (pair, &(l, r)) in self.pairs.iter().enumerate() {
+            let mut ours = self.left.output_words(&self.lslots, l);
+            let mut theirs = self.right.output_words(&self.rslots, r);
+            let mut diff = 0;
+            loop {
+                match (ours.next(), theirs.next()) {
+                    (None, None) => break,
+                    (a, b) => diff |= a.unwrap_or(0) ^ b.unwrap_or(0),
+                }
+            }
+            diff &= mask;
+            if diff != 0 {
+                let lane = diff.trailing_zeros() as usize;
+                if first.is_none_or(|(best, _)| lane < best) {
+                    first = Some((lane, pair));
+                }
+            }
+        }
+        first
+    }
+
+    /// The left's inputs in `lane`, as a vector.
+    fn input_vector(&self, lane: usize) -> InputVector {
+        self.left
+            .input_ports()
+            .map(|(name, slots)| {
+                let bits: Vec<bool> =
+                    self.lslots[slots].iter().map(|w| w >> lane & 1 == 1).collect();
+                (name.to_string(), Bits::from_bools(&bits))
+            })
+            .collect()
+    }
+
+    fn counterexample(&self, lane: usize, pair: usize, inputs: InputVector) -> Inequivalence {
+        let (l, r) = self.pairs[pair];
+        Inequivalence::Counterexample {
+            inputs,
+            output: self.left.output_name(l).to_string(),
+            left: self.left.output_bits(&self.lslots, l, lane),
+            right: self.right.output_bits(&self.rslots, r, lane),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +405,31 @@ mod tests {
         // ... here the extra top bits are zero, so equivalence holds.
         let wide = Spec::parse("spec b { input x: u4; o: u6 = x; output o; }").unwrap();
         check_equivalence(&narrow, &wide, 9, 20).unwrap();
+    }
+
+    #[test]
+    fn input_only_on_the_right_is_a_port_mismatch() {
+        let a = Spec::parse("spec a { input x: u8; output o = x; }").unwrap();
+        let b = Spec::parse("spec b { input x: u8; input y: u8; output o = x + y; }").unwrap();
+        let err = check_equivalence(&a, &b, 3, 5).unwrap_err();
+        assert_eq!(
+            err,
+            Inequivalence::PortMismatch { detail: "input `y` missing from `a`".into() }
+        );
+        assert_eq!(check_equivalence_on(&a, &b, &[]), Err(err));
+    }
+
+    #[test]
+    fn missing_output_is_reported_before_any_differing_value() {
+        // `a` differs on the very first vector; `z` missing must still win.
+        let c = Spec::parse("spec c { input x: u8; output a = x; output z = x; }").unwrap();
+        let d = Spec::parse("spec d { input x: u8; output a = x + 1; }").unwrap();
+        let err = check_equivalence(&c, &d, 3, 5).unwrap_err();
+        assert_eq!(
+            err,
+            Inequivalence::PortMismatch { detail: "output `z` missing from `d`".into() }
+        );
+        assert_eq!(check_equivalence_interpreted(&c, &d, 3, 5), Err(err));
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! same outputs as its source*, and [`equivalence`] is how that invariant is
 //! checked.
 //!
+//! Two evaluators share one semantics. [`evaluate`] interprets a spec on a
+//! single vector and is the reference. [`tape::Tape`] compiles a spec once
+//! into a bit-sliced gate tape that evaluates 64 vectors per pass; the
+//! equivalence checker runs on it and must match [`evaluate`] exactly.
+//!
 //! ```
 //! use bittrans_ir::prelude::*;
 //! use bittrans_sim::{evaluate, InputVector};
@@ -31,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod equivalence;
+pub mod tape;
 pub mod vectors;
 
 use bittrans_ir::prelude::*;
@@ -153,17 +159,7 @@ impl Evaluation {
 pub fn evaluate(spec: &Spec, inputs: &InputVector) -> Result<Evaluation, SimError> {
     let mut values: Vec<Bits> = vec![Bits::zero(0); spec.values().len()];
     for &input in spec.inputs() {
-        let name = spec.input_name(input);
-        let decl_width = spec.value(input).width();
-        let bound =
-            inputs.get(name).ok_or_else(|| SimError::MissingInput { name: name.to_string() })?;
-        if bound.width() as u32 != decl_width {
-            return Err(SimError::WidthMismatch {
-                name: name.to_string(),
-                expected: decl_width,
-                got: bound.width() as u32,
-            });
-        }
+        let bound = bound_input(inputs, spec.input_name(input), spec.value(input).width())?;
         values[input.index()] = bound.clone();
     }
     for op in spec.ops() {
@@ -177,6 +173,25 @@ pub fn evaluate(spec: &Spec, inputs: &InputVector) -> Result<Evaluation, SimErro
         .map(|port| (port.name().to_string(), resolve(port.operand(), &values)))
         .collect();
     Ok(Evaluation { values, outputs })
+}
+
+/// The value `inputs` binds to port `name`, checked against the declared
+/// `width`.
+pub(crate) fn bound_input<'a>(
+    inputs: &'a InputVector,
+    name: &str,
+    width: u32,
+) -> Result<&'a Bits, SimError> {
+    let bound =
+        inputs.get(name).ok_or_else(|| SimError::MissingInput { name: name.to_string() })?;
+    if bound.width() as u32 != width {
+        return Err(SimError::WidthMismatch {
+            name: name.to_string(),
+            expected: width,
+            got: bound.width() as u32,
+        });
+    }
+    Ok(bound)
 }
 
 /// Resolves an operand to its bits given the values computed so far.

@@ -35,33 +35,33 @@ pub fn random_vectors(spec: &Spec, seed: u64, count: usize) -> Vec<InputVector> 
 
 /// One random `width`-bit value, corner-biased.
 pub fn random_bits(width: usize, rng: &mut StdRng) -> Bits {
+    let mut b = Bits::zero(width);
+    draw_bits(width, rng, |i| b.set(i, true));
+    b
+}
+
+/// Draws the value [`random_bits`] would, consuming `rng` identically, and
+/// reports each set bit's index to `set` instead of building a [`Bits`].
+pub(crate) fn draw_bits(width: usize, rng: &mut StdRng, mut set: impl FnMut(usize)) {
     if width == 0 {
-        return Bits::zero(0);
+        return;
     }
     if rng.gen_ratio(1, 4) {
         match rng.gen_range(0..5u8) {
-            0 => Bits::zero(width),
-            1 => Bits::from_u64(1, width),
-            2 => Bits::ones(width),
-            3 => {
-                // sign boundary 2^(w-1)
-                let mut b = Bits::zero(width);
-                b.set(width - 1, true);
-                b
-            }
-            _ => {
-                // 2^(w-1) - 1
-                let mut b = Bits::ones(width);
-                b.set(width - 1, false);
-                b
-            }
+            0 => {}
+            1 => set(0),
+            2 => (0..width).for_each(set),
+            // sign boundary 2^(w-1)
+            3 => set(width - 1),
+            // 2^(w-1) - 1
+            _ => (0..width - 1).for_each(set),
         }
     } else {
-        let mut b = Bits::zero(width);
         for i in 0..width {
-            b.set(i, rng.gen());
+            if rng.gen() {
+                set(i);
+            }
         }
-        b
     }
 }
 
